@@ -2,36 +2,39 @@
 
 Output is deterministic byte-for-byte for a fixed command line.  Text output
 never contains ANSI colour codes, so NO_COLOR needs no special handling.
-Exit statuses: 0 success, 2 invalid input, 3 capacity exceeded.
+Exit statuses: 0 success, 2 invalid input or an unwritable ``--out``, 3
+capacity exceeded.  Ideals stay bitmasks (see ``roots.RootSystem``) from
+enumeration to output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import re
 import sys
-from typing import Iterable
+from typing import Collection, Iterable, Mapping
 
 from .errors import CapacityError, InvalidInputError
 from .ideals import (
-    MonomialIdeal,
-    brute_force_ideals,
-    enumerate_nilradical_ideals,
-    abelian_ideals,
-    full_ideal_classification,
-    ideal_ascii,
-    ideal_sort_key,
-    is_abelian,
+    NOTE_GENERAL_IDEALS,
+    _brute_force_masks,
+    _classified_masks,
+    _enumerate_masks,
+    _is_abelian_mask,
+    _mask_ascii,
+    _sorted_masks,
     is_monomial_ideal,
-    ZERO_IDEAL,
 )
-from .lattice import DotOptions, build_lattice, counts_by_dimension, export_dot
+from .lattice import DotOptions, _cover_edges, _dimension_counts, _dot
 from .roots import (
     Root,
     RootSystem,
     dynkin_description,
     is_root,
+    mask_indices,
     root_ascii,
     root_system,
 )
@@ -121,8 +124,13 @@ def _vectors(roots: Iterable[Root]) -> list[list[int]]:
     return [list(r) for r in roots]
 
 
-def _counts_payload(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> dict:
-    counts = counts_by_dimension(ideals, rs)
+def _mask_vectors(mask: int, rs: RootSystem) -> list[list[int]]:
+    return _vectors(rs.positive_roots[g] for g in mask_indices(mask))
+
+
+def _counts_payload(masks: Collection[int], abelian: Mapping[int, bool]) -> dict:
+    """Counts of distinct nonzero ideal masks, given the abelian flag of each."""
+    counts = _dimension_counts(masks, sum(abelian[m] for m in masks))
     return {
         "by_dimension": {str(d): c for d, c in counts.by_dimension.items()},
         "nonzero_total": counts.nonzero_total,
@@ -133,10 +141,6 @@ def _counts_payload(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> dict:
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
-
-
-def _roots_line(roots: Iterable[Root], unicode_alpha: bool) -> str:
-    return ", ".join(root_ascii(r, unicode_alpha) for r in roots)
 
 
 def _cartan_combo_ascii(vec: Iterable[int], unicode_alpha: bool = False) -> str:
@@ -170,119 +174,110 @@ def _cmd_roots(args, rs: RootSystem) -> str:
     u = args.unicode
     lines = [
         dynkin_description(rs, u),
-        f"positive roots ({len(rs.positive_roots)}): {_roots_line(rs.positive_roots, u)}",
+        f"positive roots ({len(rs.positive_roots)}): {', '.join(rs.labels(u))}",
         f"highest root: {root_ascii(rs.highest_root, u)}",
     ]
     return "\n".join(lines) + "\n"
 
 
-def _ideal_entry(ideal: MonomialIdeal, rs: RootSystem) -> dict:
+def _ideal_entry(mask: int, abelian: bool, rs: RootSystem) -> dict:
     return {
-        "roots": _vectors(ideal.roots),
-        "dimension": ideal.dimension,
-        "abelian": is_abelian(ideal, rs),
+        "roots": _mask_vectors(mask, rs),
+        "dimension": mask.bit_count(),
+        "abelian": abelian,
     }
 
 
 def _cmd_ideals(args, rs: RootSystem) -> str:
-    found = brute_force_ideals(rs) if args.oracle else enumerate_nilradical_ideals(rs)
-    ordered = sorted(found, key=ideal_sort_key)
-    listed = ([ZERO_IDEAL] if args.include_zero else []) + ordered
+    found = _brute_force_masks(rs) if args.oracle else _enumerate_masks(rs)
+    ordered = _sorted_masks(found, rs)
+    listed = ([0] if args.include_zero else []) + ordered
     if args.format == "json":
+        abelian = {m: _is_abelian_mask(m, rs) for m in listed}
         return _json_text(
             {
                 "family": rs.family,
                 "rank": rs.rank,
                 "positive_roots": _vectors(rs.positive_roots),
-                "ideals": [_ideal_entry(j, rs) for j in listed],
-                "counts": _counts_payload(ordered, rs),
+                "ideals": [_ideal_entry(m, abelian[m], rs) for m in listed],
+                "counts": _counts_payload(ordered, abelian),
             }
         )
-    return "\n".join(ideal_ascii(j, args.unicode) for j in listed) + "\n"
+    return "\n".join(_mask_ascii(m, rs, args.unicode) for m in listed) + "\n"
 
 
 def _cmd_abelian(args, rs: RootSystem) -> str:
-    listed = abelian_ideals(rs)
+    found = _enumerate_masks(rs)
+    abelian = {m: _is_abelian_mask(m, rs) for m in found}
+    listed = [0] + _sorted_masks((m for m in found if abelian[m]), rs)
     if args.format == "json":
         return _json_text(
             {
                 "family": rs.family,
                 "rank": rs.rank,
                 "positive_roots": _vectors(rs.positive_roots),
-                "ideals": [_ideal_entry(j, rs) for j in listed],
-                "counts": _counts_payload(enumerate_nilradical_ideals(rs), rs),
+                "ideals": [_ideal_entry(m, True, rs) for m in listed],
+                "counts": _counts_payload(found, abelian),
             }
         )
-    return "\n".join(ideal_ascii(j, args.unicode) for j in listed) + "\n"
+    return "\n".join(_mask_ascii(m, rs, args.unicode) for m in listed) + "\n"
 
 
 def _cmd_classify(args, rs: RootSystem) -> str:
-    classification = full_ideal_classification(rs)
-    nonzero = [e.ideal for e in classification.entries if e.ideal.dimension > 0]
+    classified = _classified_masks(rs)
     if args.format == "json":
+        abelian = {m: _is_abelian_mask(m, rs) for m, _, _ in classified}
         entries = []
-        for e in classification.entries:
-            entry = _ideal_entry(e.ideal, rs)
-            entry["kernel_dimension"] = e.kernel_dimension
-            entry["kernel_basis"] = [list(v) for v in e.kernel.vectors]
-            entry["mixed"] = e.mixed
+        for mask, kernel, mixed in classified:
+            entry = _ideal_entry(mask, abelian[mask], rs)
+            entry["kernel_dimension"] = kernel.dimension
+            entry["kernel_basis"] = [list(v) for v in kernel.vectors]
+            entry["mixed"] = mixed
             entries.append(entry)
         return _json_text(
             {
                 "family": rs.family,
                 "rank": rs.rank,
                 "positive_roots": _vectors(rs.positive_roots),
-                "note": classification.note,
+                "note": NOTE_GENERAL_IDEALS,
                 "ideals": entries,
-                "counts": _counts_payload(nonzero, rs),
+                "counts": _counts_payload([m for m, _, _ in classified if m], abelian),
             }
         )
     u = args.unicode
-    lines = [f"note: {classification.note}"]
-    for e in classification.entries:
-        basis = "; ".join(_cartan_combo_ascii(v, u) for v in e.kernel.vectors) or "-"
-        line = f"{ideal_ascii(e.ideal, u)} | kernel dim {e.kernel_dimension} | kernel basis: {basis}"
-        if e.mixed:
+    lines = [f"note: {NOTE_GENERAL_IDEALS}"]
+    for mask, kernel, mixed in classified:
+        basis = "; ".join(_cartan_combo_ascii(v, u) for v in kernel.vectors) or "-"
+        line = f"{_mask_ascii(mask, rs, u)} | kernel dim {kernel.dimension} | kernel basis: {basis}"
+        if mixed:
             line += " | mixed"
         lines.append(line)
     return "\n".join(lines) + "\n"
 
 
 def _cmd_lattice(args, rs: RootSystem) -> str:
-    lattice = build_lattice(enumerate_nilradical_ideals(rs), rs)
+    nodes = [0] + _sorted_masks(_enumerate_masks(rs), rs)
+    edges = _cover_edges(nodes, rs)
+    abelian = [_is_abelian_mask(m, rs) for m in nodes]
+    u = args.unicode
     if args.format == "dot":
-        return export_dot(lattice, DotOptions(unicode_alpha=args.unicode))
+        return _dot([_mask_ascii(m, rs, u) for m in nodes], abelian, edges, DotOptions())
     if args.format == "json":
         return _json_text(
             {
                 "family": rs.family,
                 "rank": rs.rank,
                 "lattice": {
-                    "nodes": [
-                        {
-                            "roots": _vectors(node.roots),
-                            "dimension": node.dimension,
-                            "abelian": lattice.abelian[i],
-                        }
-                        for i, node in enumerate(lattice.nodes)
-                    ],
-                    "edges": [list(edge) for edge in lattice.cover_edges],
+                    "nodes": [_ideal_entry(m, a, rs) for m, a in zip(nodes, abelian)],
+                    "edges": [list(edge) for edge in edges],
                 },
             }
         )
-    u = args.unicode
-    lines = [f"nodes ({len(lattice.nodes)}):"]
-    lines += [f"{i}: {ideal_ascii(node, u)}" for i, node in enumerate(lattice.nodes)]
-    lines.append(f"edges ({len(lattice.cover_edges)}):")
-    lines += [f"{a} -> {b}" for a, b in lattice.cover_edges]
+    lines = [f"nodes ({len(nodes)}):"]
+    lines += [f"{i}: {_mask_ascii(m, rs, u)}" for i, m in enumerate(nodes)]
+    lines.append(f"edges ({len(edges)}):")
+    lines += [f"{a} -> {b}" for a, b in edges]
     return "\n".join(lines) + "\n"
-
-
-def _set_ascii(roots: Iterable[Root], rs: RootSystem, unicode_alpha: bool) -> str:
-    ordered = sorted(roots, key=lambda r: rs.index_of(r))
-    if not ordered:
-        return "0"
-    return "[" + ", ".join(f"X[{root_ascii(r, unicode_alpha)}]" for r in ordered) + "]"
 
 
 def _cmd_normalizer(args, rs: RootSystem) -> str:
@@ -297,49 +292,42 @@ def _cmd_normalizer(args, rs: RootSystem) -> str:
                 "normalizer": _vectors(result.roots),
             }
         )
-    return _set_ascii(result.roots, rs, args.unicode) + "\n"
+    return _mask_ascii(rs.mask_of(result.roots), rs, args.unicode) + "\n"
 
 
 def _cmd_centralizer(args, rs: RootSystem) -> str:
     sub = monomial_subalgebra(parse_root_set(args.set, rs), rs)
-    result = sorted(monomial_centralizer(sub, rs), key=lambda r: rs.index_of(r))
+    result = rs.mask_of(monomial_centralizer(sub, rs))
     if args.format == "json":
         return _json_text(
             {
                 "family": rs.family,
                 "rank": rs.rank,
                 "set": _vectors(sub.roots),
-                "centralizer": _vectors(result),
+                "centralizer": _mask_vectors(result, rs),
             }
         )
-    return _set_ascii(result, rs, args.unicode) + "\n"
-
-
-def _pairwise_sum_free(roots: frozenset[Root], rs: RootSystem) -> bool:
-    indices = [rs.index_of(r) for r in roots]
-    mask = 0
-    for g in indices:
-        mask |= 1 << g
-    return all(rs._sum_masks[g] & mask == 0 for g in indices)
+    return _mask_ascii(result, rs, args.unicode) + "\n"
 
 
 def _cmd_check(args, rs: RootSystem) -> str:
     roots = parse_root_set(args.set, rs)
+    mask = rs.mask_of(roots)
     checks = {
         "is_monomial_ideal": is_monomial_ideal(roots, rs),
         "is_monomial_subalgebra": is_monomial_subalgebra(roots, rs),
-        "is_abelian_set": _pairwise_sum_free(roots, rs),
+        "is_abelian_set": _is_abelian_mask(mask, rs),
     }
     if args.format == "json":
         return _json_text(
             {
                 "family": rs.family,
                 "rank": rs.rank,
-                "set": _vectors(sorted(roots, key=lambda r: rs.index_of(r))),
+                "set": _mask_vectors(mask, rs),
                 "checks": checks,
             }
         )
-    lines = [f"set: {_set_ascii(roots, rs, args.unicode)}"]
+    lines = [f"set: {_mask_ascii(mask, rs, args.unicode)}"]
     lines.append(f"monomial ideal: {'yes' if checks['is_monomial_ideal'] else 'no'}")
     lines.append(
         f"monomial subalgebra: {'yes' if checks['is_monomial_subalgebra'] else 'no'}"
@@ -433,12 +421,32 @@ def run(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        _write_atomic(args.out, text)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
     return EXIT_OK
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write to a temporary file beside ``path``, then rename it onto ``path``.
+
+    A run that fails, or is interrupted, leaves an existing target unchanged
+    and no truncated file behind.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def main() -> None:

@@ -11,19 +11,20 @@ General ideals are the monomial ones enriched by a Cartan part: for a fixed
 root set, the admissible Cartan vectors are exactly those annihilated by
 every root outside the set, computed here as an exact integer kernel.
 
-Ideal sets are represented internally as bitmasks over the canonical root
-order, which keeps the breadth-first search fast enough for E8.
+Inside the package an ideal is a bitmask over the canonical root order (bit g
+stands for ``positive_roots[g]``) from enumeration through sorting, rendering
+and classification; ``MonomialIdeal`` tuples are built only where a public
+function returns them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable
 
 from .errors import CapacityError, InvalidInputError
 from .linalg import IntVector, kernel_basis
-from .roots import Root, RootSystem, coroot_pairing, root_sort_key, root_ascii
+from .roots import Root, RootSystem, coroot_pairing, mask_indices, root_sort_key, root_ascii
 
 
 @dataclass(frozen=True)
@@ -52,46 +53,44 @@ def ideal_ascii(ideal: MonomialIdeal, unicode_alpha: bool = False) -> str:
     return "[" + ", ".join(f"X[{root_ascii(r, unicode_alpha)}]" for r in ideal.roots) + "]"
 
 
-def _mask_of(roots: Iterable[Root], rs: RootSystem) -> int:
-    mask = 0
-    for r in roots:
-        mask |= 1 << rs.index_of(r)
-    return mask
+def _sorted_masks(masks: Iterable[int], rs: RootSystem) -> list[int]:
+    """Ideal masks in the order ``ideal_sort_key`` gives their ideals.
+
+    Ideals of equal dimension compare like their ascending index tuples, so
+    the lowest bit in which two masks differ puts its owner first: that is
+    descending order of the masks read with their bits reversed.
+    """
+    width = f"0{len(rs.positive_roots)}b"
+    return sorted(masks, key=lambda m: (m.bit_count(), -int(format(m, width)[::-1], 2)))
+
+
+def _mask_ascii(mask: int, rs: RootSystem, unicode_alpha: bool = False) -> str:
+    """``ideal_ascii`` of the root set of a mask, from the system's label table."""
+    if not mask:
+        return "0"
+    labels = rs.labels(unicode_alpha)
+    return "[" + ", ".join(f"X[{labels[g]}]" for g in mask_indices(mask)) + "]"
+
+
+def _is_abelian_mask(mask: int, rs: RootSystem) -> bool:
+    """Whether no two roots of the mask (repeats allowed) sum to a root."""
+    sums = rs._sum_masks
+    return all(sums[g] & mask == 0 for g in mask_indices(mask))
 
 
 def _ideal_from_mask(mask: int, rs: RootSystem) -> MonomialIdeal:
     pos = rs.positive_roots
-    picked = []
-    while mask:
-        low = mask & -mask
-        picked.append(pos[low.bit_length() - 1])
-        mask ^= low
-    return MonomialIdeal(tuple(picked))
+    return MonomialIdeal(tuple(pos[g] for g in mask_indices(mask)))
 
 
 def _is_ideal_mask(mask: int, rs: RootSystem) -> bool:
     up = rs._up_masks
-    rem = mask
-    while rem:
-        low = rem & -rem
-        if up[low.bit_length() - 1] & ~mask:
-            return False
-        rem ^= low
-    return True
-
-
-def _checked_mask(ideal: MonomialIdeal, rs: RootSystem) -> int:
-    mask = _mask_of(ideal.roots, rs)
-    if not _is_ideal_mask(mask, rs):
-        raise InvalidInputError(
-            f"not a monomial ideal: {[root_ascii(r) for r in ideal.roots]}"
-        )
-    return mask
+    return all(up[g] & ~mask == 0 for g in mask_indices(mask))
 
 
 def is_monomial_ideal(roots: Iterable[Root], rs: RootSystem) -> bool:
     """Closure test: r + alpha_j in R+ implies r + alpha_j in the set."""
-    return _is_ideal_mask(_mask_of(roots, rs), rs)
+    return _is_ideal_mask(rs.mask_of(roots), rs)
 
 
 def one_dimensional_ideals(rs: RootSystem) -> frozenset[MonomialIdeal]:
@@ -111,7 +110,11 @@ def extension_candidates(ideal: MonomialIdeal, rs: RootSystem) -> frozenset[Root
 
     Adjoining any one candidate yields a monomial ideal of one higher dimension.
     """
-    mask = _checked_mask(ideal, rs)
+    mask = rs.mask_of(ideal.roots)
+    if not _is_ideal_mask(mask, rs):
+        raise InvalidInputError(
+            f"not a monomial ideal: {[root_ascii(r) for r in ideal.roots]}"
+        )
     up = rs._up_masks
     return frozenset(
         r
@@ -127,6 +130,10 @@ def enumerate_nilradical_ideals(rs: RootSystem) -> frozenset[MonomialIdeal]:
     and deduplicates on the bitmask, so an ideal reachable along several
     chains is produced once.  The zero ideal is not included.
     """
+    return frozenset(_ideal_from_mask(m, rs) for m in _enumerate_masks(rs))
+
+
+def _enumerate_masks(rs: RootSystem) -> set[int]:
     n = len(rs.positive_roots)
     up = rs._up_masks
     frontier = [1 << g for g in range(n) if up[g] == 0]
@@ -142,41 +149,37 @@ def enumerate_nilradical_ideals(rs: RootSystem) -> frozenset[MonomialIdeal]:
                         seen.add(grown)
                         fresh.append(grown)
         frontier = fresh
-    return frozenset(_ideal_from_mask(m, rs) for m in seen)
+    return seen
 
 
-def brute_force_ideals(rs: RootSystem, max_positive_roots: int = 20) -> frozenset[MonomialIdeal]:
+# Largest system the subset oracle accepts: 2^20 subsets.
+_ORACLE_CAP = 20
+
+
+def brute_force_ideals(rs: RootSystem, max_positive_roots: int = _ORACLE_CAP) -> frozenset[MonomialIdeal]:
     """Filter all nonempty subsets of R+ by the closure test (oracle use only)."""
+    return frozenset(_ideal_from_mask(m, rs) for m in _brute_force_masks(rs, max_positive_roots))
+
+
+def _brute_force_masks(rs: RootSystem, max_positive_roots: int = _ORACLE_CAP) -> list[int]:
     n = len(rs.positive_roots)
     if n > max_positive_roots:
         raise CapacityError(
             f"{rs.family}{rs.rank} has {n} positive roots; brute force is capped at "
             f"{max_positive_roots} (2^{n} subsets)"
         )
-    return frozenset(
-        _ideal_from_mask(mask, rs)
-        for mask in range(1, 1 << n)
-        if _is_ideal_mask(mask, rs)
-    )
+    return [mask for mask in range(1, 1 << n) if _is_ideal_mask(mask, rs)]
 
 
 def is_abelian(ideal: MonomialIdeal, rs: RootSystem) -> bool:
     """Whether no two member roots (repeats allowed) sum to a root."""
-    mask = _mask_of(ideal.roots, rs)
-    sums = rs._sum_masks
-    rem = mask
-    while rem:
-        low = rem & -rem
-        if sums[low.bit_length() - 1] & mask:
-            return False
-        rem ^= low
-    return True
+    return _is_abelian_mask(rs.mask_of(ideal.roots), rs)
 
 
 def abelian_ideals(rs: RootSystem) -> tuple[MonomialIdeal, ...]:
     """All abelian monomial ideals including the zero ideal, canonically sorted."""
-    kept = [j for j in enumerate_nilradical_ideals(rs) if is_abelian(j, rs)]
-    return (ZERO_IDEAL,) + tuple(sorted(kept, key=ideal_sort_key))
+    kept = _sorted_masks((m for m in _enumerate_masks(rs) if _is_abelian_mask(m, rs)), rs)
+    return (ZERO_IDEAL,) + tuple(_ideal_from_mask(m, rs) for m in kept)
 
 
 @dataclass(frozen=True)
@@ -236,49 +239,34 @@ class IdealClassification:
     note: str = NOTE_GENERAL_IDEALS
 
 
-def _echelon_or_full_rank(rows: Iterable[IntVector], width: int) -> list[list[int]] | None:
-    """Integer row echelon of a row stream; None as soon as the rank hits width."""
-    pivots: dict[int, list[int]] = {}
-    for row in rows:
-        r = list(row)
-        for col in sorted(pivots):
-            if r[col]:
-                er = pivots[col]
-                a, b = er[col], r[col]
-                r = [x * a - y * b for x, y in zip(r, er)]
-        g = 0
-        for v in r:
-            g = gcd(g, v)
-        if g > 1:
-            r = [v // g for v in r]
-        lead = next((c for c, v in enumerate(r) if v), None)
-        if lead is None:
-            continue
-        if r[lead] < 0:
-            r = [-v for v in r]
-        pivots[lead] = r
-        if len(pivots) == width:
-            return None
-    return [pivots[c] for c in sorted(pivots)]
+def _classified_masks(rs: RootSystem) -> list[tuple[int, CartanKernelBasis, bool]]:
+    """(mask, Cartan kernel, mixed) for every ideal, zero first, then sorted.
+
+    The complement of an ideal is a down-set of the root poset, so it holds
+    every simple root in the support of its members: its pairing rows span
+    the same space as the Cartan rows of the simple roots missing from the
+    ideal (Cellini-Papi).  The kernel therefore depends only on those simple
+    roots and is computed once per distinct set, at most 2^rank times.
+    """
+    simple = (1 << rs.rank) - 1
+    full = rs.full_mask
+    kernels: dict[int, CartanKernelBasis] = {}
+    out = []
+    for mask in [0] + _sorted_masks(_enumerate_masks(rs), rs):
+        missing = ~mask & simple
+        kernel = kernels.get(missing)
+        if kernel is None:
+            rows = [rs.cartan[i] for i in mask_indices(missing)]
+            kernel = kernels[missing] = CartanKernelBasis(kernel_basis(rows, rs.rank))
+        out.append((mask, kernel, kernel.dimension > 0 and mask != full))
+    return out
 
 
 def full_ideal_classification(rs: RootSystem) -> IdealClassification:
     """Pair every monomial ideal with its Cartan kernel, smallest ideals first."""
-    ideals = [ZERO_IDEAL] + sorted(enumerate_nilradical_ideals(rs), key=ideal_sort_key)
-    pairing = [_pairing_row(r, rs) for r in rs.positive_roots]
-    n = len(rs.positive_roots)
-    full = rs.full_mask
-    entries = []
-    for ideal in ideals:
-        comp = full ^ _mask_of(ideal.roots, rs)
-        rows = _echelon_or_full_rank(
-            (pairing[g] for g in range(n) if comp >> g & 1), rs.rank
+    return IdealClassification(
+        entries=tuple(
+            ClassificationEntry(ideal=_ideal_from_mask(mask, rs), kernel=kernel, mixed=mixed)
+            for mask, kernel, mixed in _classified_masks(rs)
         )
-        kernel = (
-            CartanKernelBasis(())
-            if rows is None
-            else CartanKernelBasis(kernel_basis(rows, rs.rank))
-        )
-        mixed = kernel.dimension > 0 and comp != 0
-        entries.append(ClassificationEntry(ideal=ideal, kernel=kernel, mixed=mixed))
-    return IdealClassification(entries=tuple(entries))
+    )

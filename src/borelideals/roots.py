@@ -14,6 +14,8 @@ Simple-root indices are 0-based throughout the API; renderings ("a1", "a2",
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable
 
 from .errors import InvalidInputError, StructuralError
 
@@ -170,6 +172,10 @@ class RootSystem:
     is the bitmask (over canonical indices) of roots of the form
     ``positive_roots[g] + alpha_j``, and ``_sum_masks[g]`` the bitmask of
     roots h with ``positive_roots[g] + positive_roots[h]`` again a root.
+
+    A set of positive roots is a bitmask with bit g standing for
+    ``positive_roots[g]``; the simple roots come first, so bit i is
+    alpha_{i+1} for i < rank.
     """
 
     family: str
@@ -192,6 +198,30 @@ class RootSystem:
             return self._position[root]
         except KeyError:
             raise InvalidInputError(f"not a positive root of {self.family}{self.rank}: {root}") from None
+
+    def mask_of(self, roots: Iterable[Root]) -> int:
+        """Bitmask of a set of positive roots; raises for non-roots."""
+        mask = 0
+        for r in roots:
+            mask |= 1 << self.index_of(r)
+        return mask
+
+    def labels(self, unicode_alpha: bool = False) -> tuple[str, ...]:
+        """``root_ascii`` of every positive root, by canonical index."""
+        return self._labels[unicode_alpha]
+
+    @cached_property
+    def _labels(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        # Rendered on first use, so that commands that print no root set
+        # never pay for it.
+        return tuple(
+            tuple(root_ascii(r, u) for r in self.positive_roots) for u in (False, True)
+        )
+
+
+def mask_indices(mask: int) -> list[int]:
+    """Canonical indices of the roots in a bitmask, ascending."""
+    return [g for g, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def root_system(family: str, rank: int) -> RootSystem:

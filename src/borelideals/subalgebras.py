@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InvalidInputError
-from .roots import Root, RootSystem, root_ascii, root_sort_key
+from .roots import Root, RootSystem, mask_indices, root_ascii, root_sort_key
 
 
 @dataclass(frozen=True)
@@ -28,36 +28,19 @@ class MonomialSubalgebra:
         return len(self.roots)
 
 
-def _mask_of(roots: Iterable[Root], rs: RootSystem) -> int:
-    mask = 0
-    for r in roots:
-        mask |= 1 << rs.index_of(r)
-    return mask
-
-
-def _closed_under_sums(mask: int, rs: RootSystem) -> bool:
-    sums = rs._sum_masks
+def _sums_inside(g: int, mask: int, rs: RootSystem) -> bool:
+    """Whether ``positive_roots[g] + s`` is a member whenever it is a root, for members s."""
     pos = rs.positive_roots
-    index = rs.index_of
-    rem = mask
-    while rem:
-        low = rem & -rem
-        g = low.bit_length() - 1
-        partners = sums[g] & mask
-        while partners:
-            plow = partners & -partners
-            h = plow.bit_length() - 1
-            s = tuple(a + b for a, b in zip(pos[g], pos[h]))
-            if not mask >> index(s) & 1:
-                return False
-            partners ^= plow
-        rem ^= low
-    return True
+    return all(
+        mask >> rs.index_of(tuple(a + b for a, b in zip(pos[g], pos[h]))) & 1
+        for h in mask_indices(rs._sum_masks[g] & mask)
+    )
 
 
 def is_monomial_subalgebra(roots: Iterable[Root], rs: RootSystem) -> bool:
     """Closure test: r + s in R+ implies r + s in the set, for members r, s."""
-    return _closed_under_sums(_mask_of(roots, rs), rs)
+    mask = rs.mask_of(roots)
+    return all(_sums_inside(g, mask, rs) for g in mask_indices(mask))
 
 
 def monomial_subalgebra(roots: Iterable[Root], rs: RootSystem) -> MonomialSubalgebra:
@@ -76,25 +59,10 @@ def monomial_normalizer(sub: MonomialSubalgebra, rs: RootSystem) -> MonomialSuba
     This is the normalizer of the span inside the nilradical; it always
     contains the input and is itself a monomial subalgebra.
     """
-    mask = _mask_of(sub.roots, rs)
-    sums = rs._sum_masks
-    pos = rs.positive_roots
-    index = rs.index_of
-    picked = []
-    for g, r in enumerate(pos):
-        partners = sums[g] & mask
-        ok = True
-        while partners:
-            plow = partners & -partners
-            h = plow.bit_length() - 1
-            s = tuple(a + b for a, b in zip(r, pos[h]))
-            if not mask >> index(s) & 1:
-                ok = False
-                break
-            partners ^= plow
-        if ok:
-            picked.append(r)
-    return MonomialSubalgebra(tuple(picked))
+    mask = rs.mask_of(sub.roots)
+    return MonomialSubalgebra(
+        tuple(r for g, r in enumerate(rs.positive_roots) if _sums_inside(g, mask, rs))
+    )
 
 
 def monomial_centralizer(sub: MonomialSubalgebra, rs: RootSystem) -> frozenset[Root]:
@@ -105,7 +73,7 @@ def monomial_centralizer(sub: MonomialSubalgebra, rs: RootSystem) -> frozenset[R
     test cannot certify that the centralizer is bracket-closed, so callers
     wanting a subalgebra should run ``is_monomial_subalgebra`` on it.
     """
-    mask = _mask_of(sub.roots, rs)
+    mask = rs.mask_of(sub.roots)
     sums = rs._sum_masks
     return frozenset(
         r for g, r in enumerate(rs.positive_roots) if sums[g] & mask == 0

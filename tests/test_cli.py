@@ -204,6 +204,38 @@ def test_out_writes_identical_bytes(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == out
 
 
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "x"
+    code, out, err = invoke(["ideals", "A", "2", "--out", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,status",
+    [
+        (["ideals", "E", "8", "--oracle"], 3),  # the command fails
+        (["ideals", "A", "2"], 2),  # the rename onto a directory fails
+    ],
+    ids=["command-fails", "rename-fails"],
+)
+def test_failed_run_leaves_out_target_untouched(argv, status, tmp_path, capsys):
+    target = tmp_path / "target"
+    if status == 2:
+        target.mkdir()
+        (target / "inside").write_bytes(b"keep\n")
+    else:
+        target.write_bytes(b"keep\n")
+    code, out, _ = invoke(argv + ["--out", str(target)], capsys)
+    assert code == status
+    assert out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["target"]
+    kept = target / "inside" if status == 2 else target
+    assert kept.read_bytes() == b"keep\n"
+
+
 def test_json_outputs_validate_against_schema(capsys):
     for argv in (
         ["roots", "B", "2", "--format", "json"],

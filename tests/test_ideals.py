@@ -18,6 +18,7 @@ from borelideals import (
     is_monomial_ideal,
     one_dimensional_ideals,
 )
+from borelideals.ideals import _sorted_masks
 from conftest import system
 
 # systems small enough for the exhaustive subset oracle
@@ -52,6 +53,33 @@ NONZERO_IDEAL_COUNTS = {
     ("G", 2): 7,
     ("F", 4): 104,
 }
+
+# every family as far as the suite stays fast; far past the subset oracle
+CLOSED_FORM_SYSTEMS = (
+    [("A", n) for n in range(1, 10)]
+    + [("B", n) for n in range(2, 8)]
+    + [("C", n) for n in range(2, 8)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def coxeter_exponents(family, rank):
+    """Coxeter number h and exponents e_1..e_rank, from the classical tables."""
+    if family == "A":
+        return rank + 1, list(range(1, rank + 1))
+    if family in "BC":
+        return 2 * rank, list(range(1, 2 * rank, 2))
+    if family == "D":
+        return 2 * rank - 2, list(range(1, 2 * rank - 2, 2)) + [rank - 1]
+    return {
+        ("E", 6): (12, [1, 4, 5, 7, 8, 11]),
+        ("E", 7): (18, [1, 5, 7, 9, 11, 13, 17]),
+        ("E", 8): (30, [1, 7, 11, 13, 17, 19, 23, 29]),
+        ("F", 4): (12, [1, 5, 7, 11]),
+        ("G", 2): (6, [1, 5]),
+    }[family, rank]
+
 
 A2_IDEALS = {
     frozenset({(1, 1)}),
@@ -142,6 +170,21 @@ def test_nonzero_ideal_counts(family, rank):
     assert len(enumerate_nilradical_ideals(rs)) == NONZERO_IDEAL_COUNTS[(family, rank)]
 
 
+@pytest.mark.parametrize("family,rank", CLOSED_FORM_SYSTEMS)
+def test_nonzero_ideal_count_is_weyl_catalan(family, rank):
+    # Cellini-Papi / Shi: ad-nilpotent ideals, zero included, number
+    # prod (h + e_i + 1) / (e_i + 1)
+    h, exponents = coxeter_exponents(family, rank)
+    assert len(exponents) == rank
+    numerator = denominator = 1
+    for e in exponents:
+        numerator *= h + e + 1
+        denominator *= e + 1
+    assert numerator % denominator == 0
+    found = enumerate_nilradical_ideals(system(family, rank))
+    assert len(found) == numerator // denominator - 1
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("C", 3), ("G", 2), ("F", 4)])
 def test_every_enumerated_set_is_an_ideal_containing_highest_root(family, rank):
     rs = system(family, rank)
@@ -202,7 +245,7 @@ def test_abelian_ideals_rank2_values():
     ]
 
 
-@pytest.mark.parametrize("family,rank", ORACLE_SYSTEMS + [("F", 4)])
+@pytest.mark.parametrize("family,rank", CLOSED_FORM_SYSTEMS)
 def test_abelian_count_is_two_to_the_rank(family, rank):
     # classical count of abelian ideals, zero ideal included
     rs = system(family, rank)
@@ -268,7 +311,10 @@ def test_classification_a1():
     ]
 
 
-@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 3), ("B", 3), ("G", 2), ("A", 6), ("B", 5), ("C", 5), ("D", 6), ("E", 6), ("F", 4)],
+)
 def test_classification_matches_per_ideal_kernels(family, rank):
     rs = system(family, rank)
     cls = full_ideal_classification(rs)
@@ -281,6 +327,17 @@ def test_classification_matches_per_ideal_kernels(family, rank):
             entry.kernel_dimension > 0
             and entry.ideal.dimension < len(rs.positive_roots)
         )
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 6), ("B", 5), ("C", 5), ("D", 6), ("E", 6), ("E", 7), ("F", 4), ("G", 2)],
+)
+def test_mask_order_matches_ideal_sort_key(family, rank):
+    rs = system(family, rank)
+    ideals = enumerate_nilradical_ideals(rs)
+    by_mask = _sorted_masks([rs.mask_of(j.roots) for j in ideals], rs)
+    assert by_mask == [rs.mask_of(j.roots) for j in sorted(ideals, key=ideal_sort_key)]
 
 
 def test_ideal_ascii_rendering():
