@@ -63,11 +63,8 @@ def borel_basis(rs: RootSystem) -> BorelBasis:
 
 def monomial_bracket(left: Root, right: Root, rs: RootSystem) -> Root | None:
     """Support of [X_left, X_right]: left+right when that is a root, else None."""
-    g = rs.index_of(left)
-    h = rs.index_of(right)
-    if rs._sum_masks[g] >> h & 1:
-        return tuple(a + b for a, b in zip(left, right))
-    return None
+    s = rs.sum_index(rs.index_of(left), rs.index_of(right))
+    return None if s is None else rs.positive_roots[s]
 
 
 def basis_element_ascii(element: BasisElement, unicode_alpha: bool = False) -> str:

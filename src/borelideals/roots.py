@@ -24,6 +24,11 @@ CartanMatrix = tuple[tuple[int, ...], ...]
 
 FAMILIES = "ABCDEFG"
 
+# No positive root of a finite type has a coefficient above 6 (E8's highest
+# root), so a sum of two roots fits 4-bit key fields without carrying.
+MAX_COEFFICIENT = 6
+_KEY_BITS = (2 * MAX_COEFFICIENT).bit_length()
+
 # (family, minimum rank, maximum rank or None, extra note for diagnostics)
 _RANK_RULES = {
     "A": (1, None, ""),
@@ -132,7 +137,8 @@ def generate_positive_roots(cartan: CartanMatrix) -> tuple[Root, ...]:
     root r by each simple root it pairs negatively with; such a reflection
     adds a positive multiple of a simple root, so the procedure climbs in
     height and terminates.  The result is deduplicated and canonically
-    sorted.
+    sorted.  A matrix not of finite type has infinitely many real roots, so
+    it is rejected once a coefficient exceeds ``MAX_COEFFICIENT``.
     """
     rank = len(cartan)
     for i, row in enumerate(cartan):
@@ -151,15 +157,13 @@ def generate_positive_roots(cartan: CartanMatrix) -> tuple[Root, ...]:
             for j in range(rank):
                 if coroot_pairing(r, j, cartan) < 0:
                     s = reflect_simple(r, j, cartan)
+                    if s[j] > MAX_COEFFICIENT:
+                        raise InvalidInputError("Cartan matrix is not of finite type")
                     if s not in found:
                         found.add(s)
                         fresh.append(s)
         frontier = fresh
     return tuple(sorted(found, key=root_sort_key))
-
-
-def _add(left: Root, right: Root) -> Root:
-    return tuple(a + b for a, b in zip(left, right))
 
 
 @dataclass(frozen=True)
@@ -172,6 +176,9 @@ class RootSystem:
     is the bitmask (over canonical indices) of roots of the form
     ``positive_roots[g] + alpha_j``, and ``_sum_masks[g]`` the bitmask of
     roots h with ``positive_roots[g] + positive_roots[h]`` again a root.
+    ``_keys[g]`` packs ``positive_roots[g]`` into ``_KEY_BITS``-bit fields, so
+    adding keys adds roots; ``sum_index`` looks sums up in ``_key_index``.  A
+    key made from an outside tuple could alias a root: input uses ``_position``.
 
     A set of positive roots is a bitmask with bit g standing for
     ``positive_roots[g]``; the simple roots come first, so bit i is
@@ -187,6 +194,8 @@ class RootSystem:
     _position: dict[Root, int] = field(compare=False, repr=False)
     _up_masks: tuple[int, ...] = field(compare=False, repr=False)
     _sum_masks: tuple[int, ...] = field(compare=False, repr=False)
+    _keys: tuple[int, ...] = field(compare=False, repr=False)
+    _key_index: dict[int, int] = field(compare=False, repr=False)
 
     @property
     def full_mask(self) -> int:
@@ -198,6 +207,10 @@ class RootSystem:
             return self._position[root]
         except KeyError:
             raise InvalidInputError(f"not a positive root of {self.family}{self.rank}: {root}") from None
+
+    def sum_index(self, g: int, h: int) -> int | None:
+        """Canonical index of ``positive_roots[g] + positive_roots[h]``, or None."""
+        return self._key_index.get(self._keys[g] + self._keys[h])
 
     def mask_of(self, roots: Iterable[Root]) -> int:
         """Bitmask of a set of positive roots; raises for non-roots."""
@@ -228,44 +241,36 @@ def root_system(family: str, rank: int) -> RootSystem:
     """Build the root system for a simple type, validating its structure."""
     cm = cartan_matrix(family, rank)
     positive = generate_positive_roots(cm)
-    simple = tuple(tuple(1 if i == j else 0 for i in range(rank)) for j in range(rank))
     position = {r: g for g, r in enumerate(positive)}
+    keys = tuple(sum(c << _KEY_BITS * i for i, c in enumerate(r)) for r in positive)
+    key_index = {k: g for g, k in enumerate(keys)}
+    up_masks = tuple(
+        sum(1 << key_index[k + a] for a in keys[:rank] if k + a in key_index) for k in keys
+    )
+    sum_masks = tuple(
+        sum(1 << h for h, other in enumerate(keys) if k + other in key_index) for k in keys
+    )
 
-    top_height = max(root_height(r) for r in positive)
-    maximal = [r for r in positive if root_height(r) == top_height]
-    unextendable = [
-        r for r in positive if all(_add(r, a) not in position for a in simple)
-    ]
-    if len(maximal) != 1 or unextendable != maximal:
+    # Every root of greatest height is unextendable, so a single unextendable
+    # root is the unique highest root.
+    unextendable = [r for r, up in zip(positive, up_masks) if up == 0]
+    if len(unextendable) != 1:
         raise StructuralError(
             f"{family}{rank}: highest root is not unique; generated system is not irreducible"
         )
-
-    up_masks = []
-    sum_masks = []
-    for r in positive:
-        up = 0
-        for a in simple:
-            s = position.get(_add(r, a))
-            if s is not None:
-                up |= 1 << s
-        up_masks.append(up)
-        total = 0
-        for h, other in enumerate(positive):
-            if _add(r, other) in position:
-                total |= 1 << h
-        sum_masks.append(total)
 
     return RootSystem(
         family=family,
         rank=rank,
         cartan=cm,
-        simple_roots=simple,
+        simple_roots=positive[:rank],
         positive_roots=positive,
-        highest_root=maximal[0],
+        highest_root=unextendable[0],
         _position=position,
-        _up_masks=tuple(up_masks),
-        _sum_masks=tuple(sum_masks),
+        _up_masks=up_masks,
+        _sum_masks=sum_masks,
+        _keys=keys,
+        _key_index=key_index,
     )
 
 

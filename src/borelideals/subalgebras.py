@@ -30,10 +30,8 @@ class MonomialSubalgebra:
 
 def _sums_inside(g: int, mask: int, rs: RootSystem) -> bool:
     """Whether ``positive_roots[g] + s`` is a member whenever it is a root, for members s."""
-    pos = rs.positive_roots
     return all(
-        mask >> rs.index_of(tuple(a + b for a, b in zip(pos[g], pos[h]))) & 1
-        for h in mask_indices(rs._sum_masks[g] & mask)
+        mask >> rs.sum_index(g, h) & 1 for h in mask_indices(rs._sum_masks[g] & mask)
     )
 
 

@@ -56,6 +56,8 @@ def test_monomial_bracket_rejects_non_roots():
         monomial_bracket((2, 1), (0, 1), a2)
     with pytest.raises(InvalidInputError):
         monomial_bracket((1, 0), (0, 0), a2)
+    with pytest.raises(InvalidInputError):
+        monomial_bracket((16, 0), (1, 0), a2)  # packs to the root key of a2
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 3), ("G", 2)])

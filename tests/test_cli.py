@@ -299,7 +299,11 @@ def test_parse_root_set_values():
 
 @pytest.mark.parametrize(
     "literal",
-    ["a1+a1", "", "a1+", "b2", "[1", "[1,2", "a1,,a2", "[1,2,3]", "a9", "x"],
+    [
+        "a1+a1", "", "a1+", "b2", "[1", "[1,2", "a1,,a2", "[1,2,3]", "a9", "x",
+        # These pack to the root keys of a2, a1 and a1+a2.
+        "[16,0]", "[17,-1]", "[-15,2]",
+    ],
 )
 def test_parse_root_set_rejects_bad_literals(literal):
     a2 = system("A", 2)

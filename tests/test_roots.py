@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from borelideals import (
@@ -13,6 +15,7 @@ from borelideals import (
     root_sort_key,
     root_vector_str,
 )
+from borelideals.roots import MAX_COEFFICIENT
 from conftest import system
 
 # Classical number of positive roots per type.
@@ -27,6 +30,14 @@ EXPECTED_COUNTS = {
     ("F", 4): 24,
     ("G", 2): 6,
 }
+
+# Systems whose root tables are checked against tuple addition.
+TABLE_SYSTEMS = (
+    [("A", n) for n in (*range(1, 13), 20)]
+    + [(f, n) for f in "BC" for n in range(2, 9)]
+    + [("D", n) for n in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
 
 
 def closure_is_fixed_point(rs) -> bool:
@@ -127,6 +138,41 @@ def test_positive_roots_rank2_lists():
         (3, 1),
         (3, 2),
     )
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [((2, -2), (-2, 2)), ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))],
+    ids=["affine-A1", "affine-A2"],
+)
+def test_generate_rejects_cartan_matrix_not_of_finite_type(cartan):
+    start = time.perf_counter()
+    with pytest.raises(InvalidInputError, match="not of finite type"):
+        generate_positive_roots(cartan)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("family,rank", TABLE_SYSTEMS)
+def test_root_tables_match_tuple_addition(family, rank):
+    rs = system(family, rank)
+
+    def index_of_sum(r, s):
+        return rs._position.get(tuple(a + b for a, b in zip(r, s)))
+
+    for g, r in enumerate(rs.positive_roots):
+        ups = [index_of_sum(r, a) for a in rs.simple_roots]
+        assert rs._up_masks[g] == sum(1 << u for u in ups if u is not None)
+        sums = [index_of_sum(r, s) for s in rs.positive_roots]
+        assert rs._sum_masks[g] == sum(1 << h for h, t in enumerate(sums) if t is not None)
+        assert [rs.sum_index(g, h) for h in range(len(sums))] == sums
+
+
+def test_largest_root_coefficient_is_reached_on_e8():
+    largest = {
+        (family, rank): max(max(r) for r in system(family, rank).positive_roots)
+        for family, rank in TABLE_SYSTEMS
+    }
+    assert max(largest.values()) == largest[("E", 8)] == MAX_COEFFICIENT
 
 
 @pytest.mark.parametrize("family,rank", sorted(EXPECTED_COUNTS))
