@@ -5,36 +5,46 @@ never contains ANSI colour codes, so NO_COLOR needs no special handling.
 Exit statuses: 0 success, 2 invalid input or an unwritable ``--out``, 3
 capacity exceeded.  Ideals stay bitmasks (see ``roots.RootSystem``) from
 enumeration to output.
+
+Each handler is a generator of text chunks, written as they come.  It makes
+every check before its first chunk, so an error never follows output.  Ideal
+listings arrive one dimension layer at a time and are rendered by joining
+strings made once per command, never by encoding a whole document.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import re
 import sys
-from typing import Collection, Iterable, Mapping
+from itertools import chain
+from collections.abc import Callable, Iterable, Iterator
 
 from .errors import CapacityError, InvalidInputError
 from .ideals import (
     NOTE_GENERAL_IDEALS,
+    CartanKernelBasis,
     _brute_force_masks,
     _classified_masks,
     _enumerate_masks,
     _is_abelian_mask,
-    _mask_ascii,
-    _sorted_masks,
+    _layered,
+    _mask_renderer,
     is_monomial_ideal,
+    nonzero_ideal_count,
 )
-from .lattice import DotOptions, _cover_edges, _dimension_counts, _dot
+from .lattice import DotOptions, _cover_edges, _dimension_counts, _dot_chunks
 from .roots import (
     Root,
     RootSystem,
     dynkin_description,
     is_root,
     mask_indices,
+    positive_root_count,
     root_ascii,
     root_system,
 )
@@ -48,6 +58,12 @@ from .subalgebras import (
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_CAPACITY = 3
+
+# Largest requests taken on, predicted in closed form before any work starts;
+# a larger one exits 3.
+MAX_IDEALS = 1 << 20  # A12 (742899 nonzero ideals) passes, A13 (2674439) does not
+MAX_POSITIVE_ROOTS = 4096  # A90 (4095 positive roots) passes, A91 does not
+_LISTINGS = frozenset({"ideals", "abelian", "classify", "lattice"})
 
 _TERM_RE = re.compile(r"(\d*)a(\d+)")
 
@@ -128,19 +144,118 @@ def _mask_vectors(mask: int, rs: RootSystem) -> list[list[int]]:
     return _vectors(rs.positive_roots[g] for g in mask_indices(mask))
 
 
-def _counts_payload(masks: Collection[int], abelian: Mapping[int, bool]) -> dict:
-    """Counts of distinct nonzero ideal masks, given the abelian flag of each."""
-    counts = _dimension_counts(masks, sum(abelian[m] for m in masks))
-    return {
-        "by_dimension": {str(d): c for d, c in counts.by_dimension.items()},
-        "nonzero_total": counts.nonzero_total,
-        "with_zero_total": counts.with_zero_total,
-        "abelian_total": counts.abelian_total,
-    }
+def _json_block(value, depth: int) -> str:
+    """``json.dumps(value, indent=2)`` as it reads nested ``depth`` spaces deep."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + " " * depth)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _json_members(fields: dict, depth: int) -> str:
+    """Members of an object nested ``depth`` deep, as they read after an earlier member."""
+    pad = "\n" + " " * depth
+    return "".join(f",{pad}  {json.dumps(k)}: {_json_block(v, depth + 2)}" for k, v in fields.items())
+
+
+def _json_object(fields: dict, depth: int = 0) -> Iterator[str]:
+    """Chunks of ``json.dumps(fields, indent=2)`` nested ``depth`` deep.
+
+    A dict value is written the same way, an iterator value is a list
+    streamed by ``_json_list``, and a callable value is called when its turn
+    comes, after every earlier value has streamed; ``json`` renders the rest.
+    """
+    pad = "\n" + " " * depth
+    opener = "{"
+    for key, value in fields.items():
+        yield f"{opener}{pad}  {json.dumps(key)}: "
+        if callable(value):
+            value = value()
+        if isinstance(value, dict):
+            yield from _json_object(value, depth + 2)
+        elif isinstance(value, Iterator):
+            yield from _json_list(value, depth + 2)
+        else:
+            yield _json_block(value, depth + 2)
+        opener = ","
+    yield "{}" if opener == "{" else f"{pad}}}"
+
+
+def _json_list(blocks: Iterator[list[str]], depth: int) -> Iterator[str]:
+    """A list nested ``depth`` deep, one chunk per block of items rendered ``depth + 2`` deep."""
+    pad = "\n" + " " * (depth + 2)
+    opener = "["
+    for block in blocks:
+        if block:
+            yield opener + pad + f",{pad}".join(block)
+            opener = ","
+    yield "[]" if opener == "[" else "\n" + " " * depth + "]"
+
+
+def _json_document(fields: dict) -> Iterator[str]:
+    yield from _json_object(fields)
+    yield "\n"
+
+
+def _entry_renderer(rs: RootSystem, depth: int) -> Callable[..., str]:
+    """JSON text of an ideal's entry nested ``depth`` deep, from per-root blocks made once.
+
+    The entry holds the ideal's roots, its dimension, its abelian flag and
+    then ``rest``, further members as ``_json_members`` renders them.
+    """
+    pad = "\n" + " " * depth
+    blocks = [f"{pad}    {_json_block(list(r), depth + 4)}" for r in rs.positive_roots]
+    flags = {a: _json_members({"abelian": a}, depth) for a in (False, True)}
+
+    def entry(mask: int, abelian: bool, rest: str = "") -> str:
+        roots = ",".join([blocks[g] for g in mask_indices(mask)])
+        roots = f"[{roots}{pad}  ]" if mask else "[]"
+        return (
+            f'{{{pad}  "roots": {roots},{pad}  "dimension": {mask.bit_count()}'
+            f"{flags[abelian]}{rest}{pad}}}"
+        )
+
+    return entry
+
+
+class _Counts:
+    """The ``counts`` of a JSON listing, tallied from the ideal layers as they stream."""
+
+    def __init__(self, rs: RootSystem) -> None:
+        self.rs = rs
+        self.histogram: dict[int, int] = {}
+        self.abelian = 0
+
+    def flags(self, layer: list[int]) -> list[bool]:
+        """Abelian flag of each mask of a layer, counting the layer unless it is the zero ideal."""
+        flags = [_is_abelian_mask(m, self.rs) for m in layer]
+        if layer[0]:
+            self.histogram[layer[0].bit_count()] = len(layer)
+            self.abelian += sum(flags)
+        return flags
+
+    def payload(self) -> dict:
+        counts = _dimension_counts(self.histogram, self.abelian)
+        return {
+            "by_dimension": {str(d): c for d, c in counts.by_dimension.items()},
+            "nonzero_total": counts.nonzero_total,
+            "with_zero_total": counts.with_zero_total,
+            "abelian_total": counts.abelian_total,
+        }
+
+
+def _listing_document(
+    rs: RootSystem, entries: Iterator[list[str]], counts: _Counts, note: str | None = None
+) -> Iterator[str]:
+    """JSON of an ideal listing: header, the streamed ``ideals``, then their ``counts``."""
+    fields = {"family": rs.family, "rank": rs.rank, "positive_roots": _vectors(rs.positive_roots)}
+    if note is not None:
+        fields["note"] = note
+    fields["ideals"] = entries
+    fields["counts"] = counts.payload  # called once the entries have streamed past
+    return _json_document(fields)
+
+
+def _text_lines(layers: Iterable[Iterable[int]], render: Callable[[int], str]) -> Iterator[str]:
+    for layer in layers:
+        yield "".join([f"{render(m)}\n" for m in layer])
 
 
 def _cartan_combo_ascii(vec: Iterable[int], unicode_alpha: bool = False) -> str:
@@ -157,9 +272,9 @@ def _cartan_combo_ascii(vec: Iterable[int], unicode_alpha: bool = False) -> str:
     return out or "0"
 
 
-def _cmd_roots(args, rs: RootSystem) -> str:
+def _cmd_roots(args, rs: RootSystem) -> Iterator[str]:
     if args.format == "json":
-        return _json_text(
+        yield from _json_document(
             {
                 "family": rs.family,
                 "rank": rs.rank,
@@ -171,120 +286,112 @@ def _cmd_roots(args, rs: RootSystem) -> str:
                 "counts": {"positive_roots": len(rs.positive_roots)},
             }
         )
+        return
     u = args.unicode
-    lines = [
-        dynkin_description(rs, u),
-        f"positive roots ({len(rs.positive_roots)}): {', '.join(rs.labels(u))}",
-        f"highest root: {root_ascii(rs.highest_root, u)}",
-    ]
-    return "\n".join(lines) + "\n"
+    yield f"{dynkin_description(rs, u)}\n"
+    yield f"positive roots ({len(rs.positive_roots)}): {', '.join(rs.labels(u))}\n"
+    yield f"highest root: {root_ascii(rs.highest_root, u)}\n"
 
 
-def _ideal_entry(mask: int, abelian: bool, rs: RootSystem) -> dict:
-    return {
-        "roots": _mask_vectors(mask, rs),
-        "dimension": mask.bit_count(),
-        "abelian": abelian,
-    }
-
-
-def _cmd_ideals(args, rs: RootSystem) -> str:
-    found = _brute_force_masks(rs) if args.oracle else _enumerate_masks(rs)
-    ordered = _sorted_masks(found, rs)
-    listed = ([0] if args.include_zero else []) + ordered
+def _cmd_ideals(args, rs: RootSystem) -> Iterator[str]:
+    layers = _layered(_brute_force_masks(rs), rs) if args.oracle else _enumerate_masks(rs)
+    if args.include_zero:
+        layers = chain([[0]], layers)
     if args.format == "json":
-        abelian = {m: _is_abelian_mask(m, rs) for m in listed}
-        return _json_text(
-            {
-                "family": rs.family,
-                "rank": rs.rank,
-                "positive_roots": _vectors(rs.positive_roots),
-                "ideals": [_ideal_entry(m, abelian[m], rs) for m in listed],
-                "counts": _counts_payload(ordered, abelian),
-            }
+        counts = _Counts(rs)
+        entry = _entry_renderer(rs, 4)
+        entries = ([entry(m, a) for m, a in zip(layer, counts.flags(layer))] for layer in layers)
+        yield from _listing_document(rs, entries, counts)
+    else:
+        yield from _text_lines(layers, _mask_renderer(rs, args.unicode))
+
+
+def _cmd_abelian(args, rs: RootSystem) -> Iterator[str]:
+    layers = chain([[0]], _enumerate_masks(rs))
+    if args.format == "json":
+        counts = _Counts(rs)
+        entry = _entry_renderer(rs, 4)
+        entries = (
+            [entry(m, True) for m, a in zip(layer, counts.flags(layer)) if a] for layer in layers
         )
-    return "\n".join(_mask_ascii(m, rs, args.unicode) for m in listed) + "\n"
+        yield from _listing_document(rs, entries, counts)
+    else:
+        kept = ([m for m in layer if _is_abelian_mask(m, rs)] for layer in layers)
+        yield from _text_lines(kept, _mask_renderer(rs, args.unicode))
 
 
-def _cmd_abelian(args, rs: RootSystem) -> str:
-    found = _enumerate_masks(rs)
-    abelian = {m: _is_abelian_mask(m, rs) for m in found}
-    listed = [0] + _sorted_masks((m for m in found if abelian[m]), rs)
+def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
+    layers = _classified_masks(rs)
     if args.format == "json":
-        return _json_text(
-            {
-                "family": rs.family,
-                "rank": rs.rank,
-                "positive_roots": _vectors(rs.positive_roots),
-                "ideals": [_ideal_entry(m, True, rs) for m in listed],
-                "counts": _counts_payload(found, abelian),
-            }
-        )
-    return "\n".join(_mask_ascii(m, rs, args.unicode) for m in listed) + "\n"
 
-
-def _cmd_classify(args, rs: RootSystem) -> str:
-    classified = _classified_masks(rs)
-    if args.format == "json":
-        abelian = {m: _is_abelian_mask(m, rs) for m, _, _ in classified}
-        entries = []
-        for mask, kernel, mixed in classified:
-            entry = _ideal_entry(mask, abelian[mask], rs)
-            entry["kernel_dimension"] = kernel.dimension
-            entry["kernel_basis"] = [list(v) for v in kernel.vectors]
-            entry["mixed"] = mixed
-            entries.append(entry)
-        return _json_text(
-            {
-                "family": rs.family,
-                "rank": rs.rank,
-                "positive_roots": _vectors(rs.positive_roots),
-                "note": NOTE_GENERAL_IDEALS,
-                "ideals": entries,
-                "counts": _counts_payload([m for m, _, _ in classified if m], abelian),
-            }
-        )
-    u = args.unicode
-    lines = [f"note: {NOTE_GENERAL_IDEALS}"]
-    for mask, kernel, mixed in classified:
-        basis = "; ".join(_cartan_combo_ascii(v, u) for v in kernel.vectors) or "-"
-        line = f"{_mask_ascii(mask, rs, u)} | kernel dim {kernel.dimension} | kernel basis: {basis}"
-        if mixed:
-            line += " | mixed"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_lattice(args, rs: RootSystem) -> str:
-    nodes = [0] + _sorted_masks(_enumerate_masks(rs), rs)
-    edges = _cover_edges(nodes, rs)
-    abelian = [_is_abelian_mask(m, rs) for m in nodes]
-    u = args.unicode
-    if args.format == "dot":
-        return _dot([_mask_ascii(m, rs, u) for m in nodes], abelian, edges, DotOptions())
-    if args.format == "json":
-        return _json_text(
-            {
-                "family": rs.family,
-                "rank": rs.rank,
-                "lattice": {
-                    "nodes": [_ideal_entry(m, a, rs) for m, a in zip(nodes, abelian)],
-                    "edges": [list(edge) for edge in edges],
+        @functools.cache
+        def rest(kernel: CartanKernelBasis, mixed: bool) -> str:
+            return _json_members(
+                {
+                    "kernel_dimension": kernel.dimension,
+                    "kernel_basis": [list(v) for v in kernel.vectors],
+                    "mixed": mixed,
                 },
-            }
+                4,
+            )
+
+        counts = _Counts(rs)
+        entry = _entry_renderer(rs, 4)
+
+        def entries():
+            for layer in layers:
+                flags = counts.flags([mask for mask, _, _ in layer])
+                yield [entry(m, a, rest(k, mixed)) for (m, k, mixed), a in zip(layer, flags)]
+
+        yield from _listing_document(rs, entries(), counts, NOTE_GENERAL_IDEALS)
+        return
+    u = args.unicode
+
+    @functools.cache
+    def suffix(kernel: CartanKernelBasis, mixed: bool) -> str:
+        basis = "; ".join(_cartan_combo_ascii(v, u) for v in kernel.vectors) or "-"
+        mark = " | mixed" if mixed else ""
+        return f" | kernel dim {kernel.dimension} | kernel basis: {basis}{mark}"
+
+    render = _mask_renderer(rs, u)
+    yield f"note: {NOTE_GENERAL_IDEALS}\n"
+    for layer in layers:
+        yield "".join([f"{render(m)}{suffix(k, mixed)}\n" for m, k, mixed in layer])
+
+
+def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:
+    layers = [[0], *_enumerate_masks(rs)]
+    render = _mask_renderer(rs, args.unicode)
+    if args.format == "dot":
+        nodes = ([(render(m), _is_abelian_mask(m, rs)) for m in layer] for layer in layers)
+        yield from _dot_chunks(nodes, _cover_edges(layers, rs), DotOptions())
+    elif args.format == "json":
+        entry = _entry_renderer(rs, 6)
+        pad = "\n" + " " * 6
+        nodes = ([entry(m, _is_abelian_mask(m, rs)) for m in layer] for layer in layers)
+        edges = (
+            [f"[{pad}  {a},{pad}  {b}{pad}]" for a, b in block]
+            for block in _cover_edges(layers, rs)
         )
-    lines = [f"nodes ({len(nodes)}):"]
-    lines += [f"{i}: {_mask_ascii(m, rs, u)}" for i, m in enumerate(nodes)]
-    lines.append(f"edges ({len(edges)}):")
-    lines += [f"{a} -> {b}" for a, b in edges]
-    return "\n".join(lines) + "\n"
+        lattice = {"nodes": nodes, "edges": edges}
+        yield from _json_document({"family": rs.family, "rank": rs.rank, "lattice": lattice})
+    else:
+        yield f"nodes ({sum(map(len, layers))}):\n"
+        start = 0
+        for layer in layers:
+            yield "".join([f"{i}: {render(m)}\n" for i, m in enumerate(layer, start)])
+            start += len(layer)
+        blocks = list(_cover_edges(layers, rs))
+        yield f"edges ({sum(map(len, blocks))}):\n"
+        for block in blocks:
+            yield "".join([f"{a} -> {b}\n" for a, b in block])
 
 
-def _cmd_normalizer(args, rs: RootSystem) -> str:
+def _cmd_normalizer(args, rs: RootSystem) -> Iterator[str]:
     sub = monomial_subalgebra(parse_root_set(args.set, rs), rs)
     result = monomial_normalizer(sub, rs)
     if args.format == "json":
-        return _json_text(
+        yield from _json_document(
             {
                 "family": rs.family,
                 "rank": rs.rank,
@@ -292,14 +399,15 @@ def _cmd_normalizer(args, rs: RootSystem) -> str:
                 "normalizer": _vectors(result.roots),
             }
         )
-    return _mask_ascii(rs.mask_of(result.roots), rs, args.unicode) + "\n"
+    else:
+        yield _mask_renderer(rs, args.unicode)(rs.mask_of(result.roots)) + "\n"
 
 
-def _cmd_centralizer(args, rs: RootSystem) -> str:
+def _cmd_centralizer(args, rs: RootSystem) -> Iterator[str]:
     sub = monomial_subalgebra(parse_root_set(args.set, rs), rs)
     result = rs.mask_of(monomial_centralizer(sub, rs))
     if args.format == "json":
-        return _json_text(
+        yield from _json_document(
             {
                 "family": rs.family,
                 "rank": rs.rank,
@@ -307,10 +415,11 @@ def _cmd_centralizer(args, rs: RootSystem) -> str:
                 "centralizer": _mask_vectors(result, rs),
             }
         )
-    return _mask_ascii(result, rs, args.unicode) + "\n"
+    else:
+        yield _mask_renderer(rs, args.unicode)(result) + "\n"
 
 
-def _cmd_check(args, rs: RootSystem) -> str:
+def _cmd_check(args, rs: RootSystem) -> Iterator[str]:
     roots = parse_root_set(args.set, rs)
     mask = rs.mask_of(roots)
     checks = {
@@ -319,7 +428,7 @@ def _cmd_check(args, rs: RootSystem) -> str:
         "is_abelian_set": _is_abelian_mask(mask, rs),
     }
     if args.format == "json":
-        return _json_text(
+        yield from _json_document(
             {
                 "family": rs.family,
                 "rank": rs.rank,
@@ -327,13 +436,11 @@ def _cmd_check(args, rs: RootSystem) -> str:
                 "checks": checks,
             }
         )
-    lines = [f"set: {_mask_ascii(mask, rs, args.unicode)}"]
-    lines.append(f"monomial ideal: {'yes' if checks['is_monomial_ideal'] else 'no'}")
-    lines.append(
-        f"monomial subalgebra: {'yes' if checks['is_monomial_subalgebra'] else 'no'}"
-    )
-    lines.append(f"abelian set: {'yes' if checks['is_abelian_set'] else 'no'}")
-    return "\n".join(lines) + "\n"
+        return
+    yield f"set: {_mask_renderer(rs, args.unicode)(mask)}\n"
+    yield f"monomial ideal: {'yes' if checks['is_monomial_ideal'] else 'no'}\n"
+    yield f"monomial subalgebra: {'yes' if checks['is_monomial_subalgebra'] else 'no'}\n"
+    yield f"abelian set: {'yes' if checks['is_abelian_set'] else 'no'}\n"
 
 
 _HANDLERS = {
@@ -369,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             metavar="N",
-            help="cap on worker count (output is identical for any value)",
+            help="accepted and ignored; the computation is single-threaded",
         )
         sp.add_argument(
             "--unicode", action="store_true", help="render alpha instead of 'a' in text"
@@ -402,6 +509,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_capacity(command: str, family: str, rank: int) -> None:
+    """Refuse a request whose predicted size exceeds the caps, before any work."""
+    roots = positive_root_count(family, rank)  # validates family and rank
+    if roots > MAX_POSITIVE_ROOTS:
+        raise CapacityError(
+            f"{family}{rank} has {roots} positive roots; the cap is {MAX_POSITIVE_ROOTS}"
+        )
+    if command in _LISTINGS:
+        ideals = nonzero_ideal_count(family, rank)
+        if ideals > MAX_IDEALS:
+            raise CapacityError(
+                f"{family}{rank} has {ideals} nonzero ideals; {command} is capped at {MAX_IDEALS}"
+            )
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments and execute; returns the process exit status."""
     parser = build_parser()
@@ -413,27 +535,57 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if args.jobs < 1:
             raise InvalidInputError(f"--jobs must be >= 1, got {args.jobs}")
+        _check_capacity(args.command, args.family, args.rank)
         rs = root_system(args.family, args.rank)
-        text = _HANDLERS[args.command](args, rs)
+        chunks = _HANDLERS[args.command](args, rs)
+        if not args.out:
+            out = sys.stdout
+            try:
+                _write_chunks(out, chunks)
+                out.flush()
+            except BrokenPipeError:
+                # The reader stopped early (``| head``).  Point stdout at
+                # devnull, so that the flush at exit does not fail again.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, out.fileno())
+                os.close(devnull)
+            return EXIT_OK
+        try:
+            _write_atomic(args.out, chunks)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_INVALID_INPUT
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    if not args.out:
-        sys.stdout.write(text)
-        return EXIT_OK
-    try:
-        _write_atomic(args.out, text)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     return EXIT_OK
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write to a temporary file beside ``path``, then rename it onto ``path``.
+# Chunks leave in pieces of at least this many characters, so a small output
+# reaches its reader in one write and a large one in few (64 KiB is the
+# default capacity of a pipe).
+_WRITE_SIZE = 1 << 16
+
+
+def _write_chunks(out, chunks: Iterable[str]) -> None:
+    """Write the chunks to ``out``, joined into pieces of at least ``_WRITE_SIZE``."""
+    pending: list[str] = []
+    held = 0
+    for chunk in chunks:
+        pending.append(chunk)
+        held += len(chunk)
+        if held >= _WRITE_SIZE:
+            out.write("".join(pending))
+            pending.clear()
+            held = 0
+    out.write("".join(pending))
+
+
+def _write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to a temporary file beside ``path``, then rename it onto ``path``.
 
     A run that fails, or is interrupted, leaves an existing target unchanged
     and no truncated file behind.
@@ -441,7 +593,7 @@ def _write_atomic(path: str, text: str) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            _write_chunks(handle, chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

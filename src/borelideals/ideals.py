@@ -20,11 +20,20 @@ function returns them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain, groupby
+from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityError, InvalidInputError
 from .linalg import IntVector, kernel_basis
-from .roots import Root, RootSystem, coroot_pairing, mask_indices, root_sort_key, root_ascii
+from .roots import (
+    Root,
+    RootSystem,
+    coroot_pairing,
+    coxeter_exponents,
+    mask_indices,
+    root_ascii,
+    root_sort_key,
+)
 
 
 @dataclass(frozen=True)
@@ -64,12 +73,19 @@ def _sorted_masks(masks: Iterable[int], rs: RootSystem) -> list[int]:
     return sorted(masks, key=lambda m: (m.bit_count(), -int(format(m, width)[::-1], 2)))
 
 
-def _mask_ascii(mask: int, rs: RootSystem, unicode_alpha: bool = False) -> str:
-    """``ideal_ascii`` of the root set of a mask, from the system's label table."""
-    if not mask:
-        return "0"
-    labels = rs.labels(unicode_alpha)
-    return "[" + ", ".join(f"X[{labels[g]}]" for g in mask_indices(mask)) + "]"
+def _layered(masks: Iterable[int], rs: RootSystem) -> list[list[int]]:
+    """Masks in ``_sorted_masks`` order, split into layers of equal dimension."""
+    return [list(layer) for _, layer in groupby(_sorted_masks(masks, rs), int.bit_count)]
+
+
+def _mask_renderer(rs: RootSystem, unicode_alpha: bool = False) -> Callable[[int], str]:
+    """``ideal_ascii`` of the root set of a mask, joined from "X[label]" strings made once."""
+    xs = [f"X[{label}]" for label in rs.labels(unicode_alpha)]
+
+    def render(mask: int) -> str:
+        return "[" + ", ".join([xs[g] for g in mask_indices(mask)]) + "]" if mask else "0"
+
+    return render
 
 
 def _is_abelian_mask(mask: int, rs: RootSystem) -> bool:
@@ -123,6 +139,21 @@ def extension_candidates(ideal: MonomialIdeal, rs: RootSystem) -> frozenset[Root
     )
 
 
+def nonzero_ideal_count(family: str, rank: int) -> int:
+    """Number of nonzero monomial ideals, predicted without enumerating them.
+
+    With the zero ideal they number prod (h + e_i + 1) / (e_i + 1) over the
+    exponents e_i, h the Coxeter number (Cellini-Papi; Shi).
+    """
+    exponents = coxeter_exponents(family, rank)
+    h = max(exponents) + 1
+    numerator = denominator = 1
+    for e in exponents:
+        numerator *= h + e + 1
+        denominator *= e + 1
+    return numerator // denominator - 1
+
+
 def enumerate_nilradical_ideals(rs: RootSystem) -> frozenset[MonomialIdeal]:
     """All nonzero monomial ideals, by breadth-first one-root extensions.
 
@@ -130,26 +161,32 @@ def enumerate_nilradical_ideals(rs: RootSystem) -> frozenset[MonomialIdeal]:
     and deduplicates on the bitmask, so an ideal reachable along several
     chains is produced once.  The zero ideal is not included.
     """
-    return frozenset(_ideal_from_mask(m, rs) for m in _enumerate_masks(rs))
+    return frozenset(_ideal_from_mask(m, rs) for layer in _enumerate_masks(rs) for m in layer)
 
 
-def _enumerate_masks(rs: RootSystem) -> set[int]:
-    n = len(rs.positive_roots)
-    up = rs._up_masks
-    frontier = [1 << g for g in range(n) if up[g] == 0]
-    seen = set(frontier)
-    while frontier:
-        fresh = []
-        for mask in frontier:
-            inv = ~mask
-            for g in range(n):
-                if inv >> g & 1 and up[g] & inv == 0:
-                    grown = mask | 1 << g
-                    if grown not in seen:
-                        seen.add(grown)
-                        fresh.append(grown)
-        frontier = fresh
-    return seen
+def _enumerate_masks(rs: RootSystem) -> Iterator[list[int]]:
+    """Nonzero ideal masks one dimension at a time, each layer in ``_sorted_masks`` order.
+
+    Every mask grown from a layer has one more root, so duplicates can only
+    meet inside the next layer, and the search keeps no other state.  Each
+    mask carries the roots that may join it (those outside it with every
+    simple step up inside it): adding g keeps the others and can only admit
+    roots one simple step below g.
+    """
+    up, down = rs._up_masks, rs._down_masks
+    frontier = {0: sum(1 << g for g, above in enumerate(up) if above == 0)}
+    while True:
+        grown: dict[int, int] = {}
+        for mask, addable in frontier.items():
+            for g in mask_indices(addable):
+                bigger = mask | 1 << g
+                if bigger not in grown:
+                    admitted = sum(1 << h for h in mask_indices(down[g]) if up[h] & ~bigger == 0)
+                    grown[bigger] = addable & ~(1 << g) | admitted
+        if not grown:
+            return
+        yield _sorted_masks(grown, rs)
+        frontier = grown
 
 
 # Largest system the subset oracle accepts: 2^20 subsets.
@@ -178,8 +215,12 @@ def is_abelian(ideal: MonomialIdeal, rs: RootSystem) -> bool:
 
 def abelian_ideals(rs: RootSystem) -> tuple[MonomialIdeal, ...]:
     """All abelian monomial ideals including the zero ideal, canonically sorted."""
-    kept = _sorted_masks((m for m in _enumerate_masks(rs) if _is_abelian_mask(m, rs)), rs)
-    return (ZERO_IDEAL,) + tuple(_ideal_from_mask(m, rs) for m in kept)
+    return (ZERO_IDEAL,) + tuple(
+        _ideal_from_mask(m, rs)
+        for layer in _enumerate_masks(rs)
+        for m in layer
+        if _is_abelian_mask(m, rs)
+    )
 
 
 @dataclass(frozen=True)
@@ -239,8 +280,8 @@ class IdealClassification:
     note: str = NOTE_GENERAL_IDEALS
 
 
-def _classified_masks(rs: RootSystem) -> list[tuple[int, CartanKernelBasis, bool]]:
-    """(mask, Cartan kernel, mixed) for every ideal, zero first, then sorted.
+def _classified_masks(rs: RootSystem) -> Iterator[list[tuple[int, CartanKernelBasis, bool]]]:
+    """(mask, Cartan kernel, mixed) for every ideal, a layer at a time: zero first, then sorted.
 
     The complement of an ideal is a down-set of the root poset, so it holds
     every simple root in the support of its members: its pairing rows span
@@ -251,15 +292,16 @@ def _classified_masks(rs: RootSystem) -> list[tuple[int, CartanKernelBasis, bool
     simple = (1 << rs.rank) - 1
     full = rs.full_mask
     kernels: dict[int, CartanKernelBasis] = {}
-    out = []
-    for mask in [0] + _sorted_masks(_enumerate_masks(rs), rs):
-        missing = ~mask & simple
-        kernel = kernels.get(missing)
-        if kernel is None:
-            rows = [rs.cartan[i] for i in mask_indices(missing)]
-            kernel = kernels[missing] = CartanKernelBasis(kernel_basis(rows, rs.rank))
-        out.append((mask, kernel, kernel.dimension > 0 and mask != full))
-    return out
+    for layer in chain([[0]], _enumerate_masks(rs)):
+        out = []
+        for mask in layer:
+            missing = ~mask & simple
+            kernel = kernels.get(missing)
+            if kernel is None:
+                rows = [rs.cartan[i] for i in mask_indices(missing)]
+                kernel = kernels[missing] = CartanKernelBasis(kernel_basis(rows, rs.rank))
+            out.append((mask, kernel, kernel.dimension > 0 and mask != full))
+        yield out
 
 
 def full_ideal_classification(rs: RootSystem) -> IdealClassification:
@@ -267,6 +309,7 @@ def full_ideal_classification(rs: RootSystem) -> IdealClassification:
     return IdealClassification(
         entries=tuple(
             ClassificationEntry(ideal=_ideal_from_mask(mask, rs), kernel=kernel, mixed=mixed)
-            for mask, kernel, mixed in _classified_masks(rs)
+            for layer in _classified_masks(rs)
+            for mask, kernel, mixed in layer
         )
     )

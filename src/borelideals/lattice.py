@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidInputError
 from .ideals import (
@@ -12,7 +13,7 @@ from .ideals import (
     _ideal_from_mask,
     _is_abelian_mask,
     _is_ideal_mask,
-    _sorted_masks,
+    _layered,
     ideal_ascii,
 )
 from .roots import RootSystem, mask_indices
@@ -40,35 +41,42 @@ def build_lattice(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> IdealLatti
         if not _is_ideal_mask(mask, rs):
             raise InvalidInputError(f"not a monomial ideal: {ideal_ascii(ideal)}")
         masks.add(mask)
-    nodes = [0] + _sorted_masks(masks - {0}, rs)
+    layers = [[0]] + _layered(masks - {0}, rs)
+    nodes = [m for layer in layers for m in layer]
     return IdealLattice(
         nodes=tuple(_ideal_from_mask(m, rs) for m in nodes),
-        cover_edges=_cover_edges(nodes, rs),
+        cover_edges=tuple(chain.from_iterable(_cover_edges(layers, rs))),
         abelian=tuple(_is_abelian_mask(m, rs) for m in nodes),
     )
 
 
-def _cover_edges(nodes: Sequence[int], rs: RootSystem) -> tuple[tuple[int, int], ...]:
-    """Sorted (smaller-index, larger-index) covers among the node masks.
+def _cover_edges(
+    layers: Iterable[Sequence[int]], rs: RootSystem
+) -> Iterator[list[tuple[int, int]]]:
+    """Per node layer, its sorted (smaller-index, larger-index) covers from the layer before.
 
-    Covers are found by deleting one minimal root at a time: an ideal minus a
-    root r stays an ideal exactly when no member sits one simple step below r,
-    and every nested pair with dimension gap one arises this way.
+    ``layers`` are the sorted nodes split by dimension, numbered on across
+    layers.  Covers are found by deleting one minimal root at a time: an
+    ideal minus a root r stays an ideal exactly when no member sits one
+    simple step below r, and every nested pair with dimension gap one arises
+    this way.  The smaller index always lies in the previous layer, so the
+    blocks joined in order are sorted as a whole.
     """
-    down = [0] * len(rs.positive_roots)
-    for g, up in enumerate(rs._up_masks):
-        for h in mask_indices(up):
-            down[h] |= 1 << g
-    index_of_mask = {mask: i for i, mask in enumerate(nodes)}
-    edges = []
-    for i, mask in enumerate(nodes):
-        for g in mask_indices(mask):
-            if down[g] & mask == 0:
-                smaller = index_of_mask.get(mask ^ 1 << g)
-                if smaller is not None:
-                    edges.append((smaller, i))
-    edges.sort()
-    return tuple(edges)
+    down = rs._down_masks
+    below: dict[int, int] = {}
+    start = 0
+    for layer in layers:
+        edges = []
+        for i, mask in enumerate(layer, start):
+            for g in mask_indices(mask):
+                if down[g] & mask == 0:
+                    smaller = below.get(mask ^ 1 << g)
+                    if smaller is not None:
+                        edges.append((smaller, i))
+        edges.sort()
+        yield edges
+        below = {mask: i for i, mask in enumerate(layer, start)}
+        start += len(layer)
 
 
 @dataclass(frozen=True)
@@ -88,16 +96,18 @@ class DimensionCounts:
 def counts_by_dimension(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> DimensionCounts:
     """Count nonzero ideals per dimension, totals with/without zero, and abelian."""
     masks = {rs.mask_of(j.roots) for j in ideals} - {0}
-    return _dimension_counts(masks, sum(_is_abelian_mask(m, rs) for m in masks))
+    return _dimension_counts(
+        Counter(m.bit_count() for m in masks), sum(_is_abelian_mask(m, rs) for m in masks)
+    )
 
 
-def _dimension_counts(masks: Collection[int], abelian_nonzero: int) -> DimensionCounts:
-    """Counts of distinct nonzero ideal masks, of which ``abelian_nonzero`` are abelian."""
-    histo = Counter(m.bit_count() for m in masks)
+def _dimension_counts(histogram: Mapping[int, int], abelian_nonzero: int) -> DimensionCounts:
+    """Counts of nonzero ideals from their number per dimension and the abelian ones among them."""
+    nonzero = sum(histogram.values())
     return DimensionCounts(
-        by_dimension=dict(sorted(histo.items())),
-        nonzero_total=len(masks),
-        with_zero_total=len(masks) + 1,
+        by_dimension=dict(sorted(histogram.items())),
+        nonzero_total=nonzero,
+        with_zero_total=nonzero + 1,
         abelian_total=1 + abelian_nonzero,
     )
 
@@ -115,23 +125,27 @@ def export_dot(lattice: IdealLattice, options: DotOptions | None = None) -> str:
     """DOT digraph of the lattice, bottom to top, byte-stable per input."""
     opts = options or DotOptions()
     labels = [ideal_ascii(node, opts.unicode_alpha) for node in lattice.nodes]
-    return _dot(labels, lattice.abelian, lattice.cover_edges, opts)
+    return "".join(_dot_chunks([zip(labels, lattice.abelian)], [lattice.cover_edges], opts))
 
 
-def _dot(
-    labels: Sequence[str],
-    abelian: Sequence[bool],
-    cover_edges: Iterable[tuple[int, int]],
+def _dot_chunks(
+    node_layers: Iterable[Iterable[tuple[str, bool]]],
+    edge_blocks: Iterable[Iterable[tuple[int, int]]],
     opts: DotOptions,
-) -> str:
-    """DOT text of a lattice given as rendered node labels, flags and covers."""
-    lines = [f"digraph {opts.graph_name} {{", "  rankdir=BT;", "  node [shape=box];"]
-    for i, label in enumerate(labels):
-        attrs = f'label="{label}"'
-        if opts.mark_abelian and abelian[i]:
-            attrs += ', style=filled, fillcolor="lightgrey"'
-        lines.append(f"  n{i} [{attrs}];")
-    for smaller, larger in cover_edges:
-        lines.append(f"  n{smaller} -> n{larger};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+) -> Iterator[str]:
+    """DOT text of a lattice, one chunk per block of (rendered label, abelian) nodes or of covers.
+
+    Nodes are numbered in the order they arrive, across blocks.
+    """
+    yield f"digraph {opts.graph_name} {{\n  rankdir=BT;\n  node [shape=box];\n"
+    fill = ', style=filled, fillcolor="lightgrey"' if opts.mark_abelian else ""
+    i = 0
+    for layer in node_layers:
+        lines = []
+        for label, abelian in layer:
+            lines.append(f'  n{i} [label="{label}"{fill if abelian else ""}];\n')
+            i += 1
+        yield "".join(lines)
+    for block in edge_blocks:
+        yield "".join([f"  n{smaller} -> n{larger};\n" for smaller, larger in block])
+    yield "}\n"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, count
 from typing import Iterable
 
 from .errors import InvalidInputError, StructuralError
@@ -52,6 +53,36 @@ def validate_family_rank(family: str, rank: int) -> None:
         raise InvalidInputError(f"family {family} requires rank >= {lo}, got {rank}{note}")
     if hi is not None and rank > hi:
         raise InvalidInputError(f"family {family} requires rank <= {hi}, got {rank}")
+
+
+# Exponents of the exceptional Weyl groups; the classical ones follow a pattern.
+_EXCEPTIONAL_EXPONENTS = {
+    ("E", 6): (1, 4, 5, 7, 8, 11),
+    ("E", 7): (1, 5, 7, 9, 11, 13, 17),
+    ("E", 8): (1, 7, 11, 13, 17, 19, 23, 29),
+    ("F", 4): (1, 5, 7, 11),
+    ("G", 2): (1, 5),
+}
+
+
+def coxeter_exponents(family: str, rank: int) -> tuple[int, ...]:
+    """Exponents e_1..e_rank of the Weyl group; the Coxeter number is the largest plus one.
+
+    Known in closed form, so sizes can be predicted before any root is built.
+    """
+    validate_family_rank(family, rank)
+    if family == "A":
+        return tuple(range(1, rank + 1))
+    if family in "BC":
+        return tuple(range(1, 2 * rank, 2))
+    if family == "D":
+        return tuple(sorted([*range(1, 2 * rank - 2, 2), rank - 1]))
+    return _EXCEPTIONAL_EXPONENTS[family, rank]
+
+
+def positive_root_count(family: str, rank: int) -> int:
+    """|R+| = rank * h / 2, with h the Coxeter number."""
+    return rank * (max(coxeter_exponents(family, rank)) + 1) // 2
 
 
 def _chain_edges(rank: int) -> list[tuple[int, int]]:
@@ -176,6 +207,7 @@ class RootSystem:
     is the bitmask (over canonical indices) of roots of the form
     ``positive_roots[g] + alpha_j``, and ``_sum_masks[g]`` the bitmask of
     roots h with ``positive_roots[g] + positive_roots[h]`` again a root.
+    ``_down_masks[g]`` is the converse of ``_up_masks``, built on first use.
     ``_keys[g]`` packs ``positive_roots[g]`` into ``_KEY_BITS``-bit fields, so
     adding keys adds roots; ``sum_index`` looks sums up in ``_key_index``.  A
     key made from an outside tuple could alias a root: input uses ``_position``.
@@ -224,6 +256,15 @@ class RootSystem:
         return self._labels[unicode_alpha]
 
     @cached_property
+    def _down_masks(self) -> tuple[int, ...]:
+        # Bit h of entry g: positive_roots[h] + alpha_j == positive_roots[g] for some j.
+        down = [0] * len(self.positive_roots)
+        for h, up in enumerate(self._up_masks):
+            for g in mask_indices(up):
+                down[g] |= 1 << h
+        return tuple(down)
+
+    @cached_property
     def _labels(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         # Rendered on first use, so that commands that print no root set
         # never pay for it.
@@ -232,9 +273,13 @@ class RootSystem:
         )
 
 
+# Binary digits to the false/true selector bytes ``compress`` reads.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def mask_indices(mask: int) -> list[int]:
     """Canonical indices of the roots in a bitmask, ascending."""
-    return [g for g, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
 
 def root_system(family: str, rank: int) -> RootSystem:

@@ -1,16 +1,23 @@
+import errno
+import hashlib
 import json
+import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from importlib import resources
 
 import jsonschema
 import pytest
 
 from borelideals import (
+    CapacityError,
     InvalidInputError,
     enumerate_nilradical_ideals,
     root_system,
 )
+from borelideals import cli
 from borelideals.cli import parse_root_set, run
 from conftest import system
 
@@ -87,6 +94,43 @@ def test_capacity_error_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "capped" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["ideals", "A", "30"], ["roots", "A", "200"]], ids=["ideals", "roots"]
+)
+def test_capacity_guard_exits_3_before_any_work(argv, capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_capacity_caps_admit_a12_ideals_and_a80_roots():
+    cli._check_capacity("ideals", "A", 12)  # 742899 nonzero ideals
+    cli._check_capacity("roots", "A", 80)  # 3240 positive roots
+    with pytest.raises(CapacityError):
+        cli._check_capacity("lattice", "A", 13)
+    with pytest.raises(CapacityError):
+        cli._check_capacity("check", "A", 91)
+
+
+@pytest.mark.parametrize(
+    "argv,status",
+    [
+        (["ideals", "E", "8", "--oracle"], 3),
+        (["normalizer", "B", "2", "--set", "a1, a2"], 2),  # not closed under sums
+        (["centralizer", "B", "2", "--set", "a1, a2"], 2),
+        (["check", "B", "2", "--format", "json", "--set", "a1+a1"], 2),
+    ],
+)
+def test_errors_come_before_the_first_byte(argv, status, capsys):
+    code, out, err = invoke(argv, capsys)
+    assert code == status
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_oracle_agrees_with_default_enumeration(capsys):
@@ -234,6 +278,69 @@ def test_failed_run_leaves_out_target_untouched(argv, status, tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["target"]
     kept = target / "inside" if status == 2 else target
     assert kept.read_bytes() == b"keep\n"
+
+
+def test_out_write_failing_mid_stream_keeps_target(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "target"
+    target.write_bytes(b"keep\n")
+    written = []
+
+    class FullDisk:
+        """A file that takes one write, then reports a full disk."""
+
+        def __init__(self, *args, **kwargs):
+            self.handle = open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, chunk):
+            if written:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            written.append(chunk)
+            return self.handle.write(chunk)
+
+    monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+    argv = ["ideals", "E", "6", "--format", "json", "--out", str(target)]  # 2 MB
+    code, out, err = invoke(argv, capsys)
+    assert len(written) == 1
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
+    assert target.read_bytes() == b"keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["target"]
+
+
+def test_reader_closing_the_pipe_early_is_no_error():
+    # `borelideals ideals E 7 | head -c 10`: 4 MB of output, most never read
+    with subprocess.Popen(
+        [sys.executable, "-m", "borelideals.cli", "ideals", "E", "7"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.read(10) == b"[X[2a1+2a2"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def test_large_json_listing_runs_in_bounded_memory(tmp_path):
+    # The whole document is 68 MB; rendering it at once peaked near 500 MB.
+    target = tmp_path / "a9.json"
+    tracemalloc.start()
+    try:
+        code = run(["ideals", "A", "9", "--format", "json", "--out", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 64 * 2**20
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == "8b35f529c7317abf0b3127d32c98865d62a132e0775e0f267082bdf8fdfd27fa"
 
 
 def test_json_outputs_validate_against_schema(capsys):

@@ -18,7 +18,8 @@ from borelideals import (
     is_monomial_ideal,
     one_dimensional_ideals,
 )
-from borelideals.ideals import _sorted_masks
+from borelideals.ideals import _enumerate_masks, nonzero_ideal_count
+from borelideals.roots import positive_root_count
 from conftest import system
 
 # systems small enough for the exhaustive subset oracle
@@ -173,7 +174,7 @@ def test_nonzero_ideal_counts(family, rank):
 @pytest.mark.parametrize("family,rank", CLOSED_FORM_SYSTEMS)
 def test_nonzero_ideal_count_is_weyl_catalan(family, rank):
     # Cellini-Papi / Shi: ad-nilpotent ideals, zero included, number
-    # prod (h + e_i + 1) / (e_i + 1)
+    # prod (h + e_i + 1) / (e_i + 1); the CLI predicts sizes the same way
     h, exponents = coxeter_exponents(family, rank)
     assert len(exponents) == rank
     numerator = denominator = 1
@@ -181,8 +182,11 @@ def test_nonzero_ideal_count_is_weyl_catalan(family, rank):
         numerator *= h + e + 1
         denominator *= e + 1
     assert numerator % denominator == 0
-    found = enumerate_nilradical_ideals(system(family, rank))
+    rs = system(family, rank)
+    found = enumerate_nilradical_ideals(rs)
     assert len(found) == numerator // denominator - 1
+    assert nonzero_ideal_count(family, rank) == len(found)
+    assert positive_root_count(family, rank) == rank * h // 2 == len(rs.positive_roots)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("C", 3), ("G", 2), ("F", 4)])
@@ -334,9 +338,14 @@ def test_classification_matches_per_ideal_kernels(family, rank):
     [("A", 6), ("B", 5), ("C", 5), ("D", 6), ("E", 6), ("E", 7), ("F", 4), ("G", 2)],
 )
 def test_mask_order_matches_ideal_sort_key(family, rank):
+    # the layers, each sorted on its own, joined in order give the whole sort
     rs = system(family, rank)
     ideals = enumerate_nilradical_ideals(rs)
-    by_mask = _sorted_masks([rs.mask_of(j.roots) for j in ideals], rs)
+    layers = list(_enumerate_masks(rs))
+    assert [{m.bit_count() for m in layer} for layer in layers] == [
+        {d} for d in range(1, len(rs.positive_roots) + 1)
+    ]
+    by_mask = [m for layer in layers for m in layer]
     assert by_mask == [rs.mask_of(j.roots) for j in sorted(ideals, key=ideal_sort_key)]
 
 
