@@ -16,18 +16,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import os
 import re
 import sys
-from itertools import chain
 from collections.abc import Callable, Iterable, Iterator
 
 from .errors import CapacityError, InvalidInputError
 from .ideals import (
     NOTE_GENERAL_IDEALS,
     CartanKernelBasis,
+    _abelian_masks,
     _brute_force_masks,
     _classified_masks,
     _enumerate_masks,
@@ -149,35 +150,6 @@ def _json_block(value, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + " " * depth)
 
 
-def _json_members(fields: dict, depth: int) -> str:
-    """Members of an object nested ``depth`` deep, as they read after an earlier member."""
-    pad = "\n" + " " * depth
-    return "".join(f",{pad}  {json.dumps(k)}: {_json_block(v, depth + 2)}" for k, v in fields.items())
-
-
-def _json_object(fields: dict, depth: int = 0) -> Iterator[str]:
-    """Chunks of ``json.dumps(fields, indent=2)`` nested ``depth`` deep.
-
-    A dict value is written the same way, an iterator value is a list
-    streamed by ``_json_list``, and a callable value is called when its turn
-    comes, after every earlier value has streamed; ``json`` renders the rest.
-    """
-    pad = "\n" + " " * depth
-    opener = "{"
-    for key, value in fields.items():
-        yield f"{opener}{pad}  {json.dumps(key)}: "
-        if callable(value):
-            value = value()
-        if isinstance(value, dict):
-            yield from _json_object(value, depth + 2)
-        elif isinstance(value, Iterator):
-            yield from _json_list(value, depth + 2)
-        else:
-            yield _json_block(value, depth + 2)
-        opener = ","
-    yield "{}" if opener == "{" else f"{pad}}}"
-
-
 def _json_list(blocks: Iterator[list[str]], depth: int) -> Iterator[str]:
     """A list nested ``depth`` deep, one chunk per block of items rendered ``depth + 2`` deep."""
     pad = "\n" + " " * (depth + 2)
@@ -189,20 +161,15 @@ def _json_list(blocks: Iterator[list[str]], depth: int) -> Iterator[str]:
     yield "[]" if opener == "[" else "\n" + " " * depth + "]"
 
 
-def _json_document(fields: dict) -> Iterator[str]:
-    yield from _json_object(fields)
-    yield "\n"
-
-
 def _entry_renderer(rs: RootSystem, depth: int) -> Callable[..., str]:
     """JSON text of an ideal's entry nested ``depth`` deep, from per-root blocks made once.
 
     The entry holds the ideal's roots, its dimension, its abelian flag and
-    then ``rest``, further members as ``_json_members`` renders them.
+    then ``rest``: further members, each led by a comma and a new line.
     """
     pad = "\n" + " " * depth
     blocks = [f"{pad}    {_json_block(list(r), depth + 4)}" for r in rs.positive_roots]
-    flags = {a: _json_members({"abelian": a}, depth) for a in (False, True)}
+    flags = {a: f',{pad}  "abelian": {json.dumps(a)}' for a in (False, True)}
 
     def entry(mask: int, abelian: bool, rest: str = "") -> str:
         roots = ",".join([blocks[g] for g in mask_indices(mask)])
@@ -232,25 +199,20 @@ class _Counts:
         return flags
 
     def payload(self) -> dict:
-        counts = _dimension_counts(self.histogram, self.abelian)
-        return {
-            "by_dimension": {str(d): c for d, c in counts.by_dimension.items()},
-            "nonzero_total": counts.nonzero_total,
-            "with_zero_total": counts.with_zero_total,
-            "abelian_total": counts.abelian_total,
-        }
+        return dataclasses.asdict(_dimension_counts(self.histogram, self.abelian))
 
 
 def _listing_document(
     rs: RootSystem, entries: Iterator[list[str]], counts: _Counts, note: str | None = None
 ) -> Iterator[str]:
     """JSON of an ideal listing: header, the streamed ``ideals``, then their ``counts``."""
-    fields = {"family": rs.family, "rank": rs.rank, "positive_roots": _vectors(rs.positive_roots)}
+    header = {"family": rs.family, "rank": rs.rank, "positive_roots": _vectors(rs.positive_roots)}
     if note is not None:
-        fields["note"] = note
-    fields["ideals"] = entries
-    fields["counts"] = counts.payload  # called once the entries have streamed past
-    return _json_document(fields)
+        header["note"] = note
+    yield json.dumps(header, indent=2).removesuffix("\n}") + ',\n  "ideals": '
+    yield from _json_list(entries, 2)
+    # the entries have streamed past, so the counts are complete
+    yield f',\n  "counts": {_json_block(counts.payload(), 2)}\n}}\n'
 
 
 def _text_lines(layers: Iterable[Iterable[int]], render: Callable[[int], str]) -> Iterator[str]:
@@ -274,18 +236,17 @@ def _cartan_combo_ascii(vec: Iterable[int], unicode_alpha: bool = False) -> str:
 
 def _cmd_roots(args, rs: RootSystem) -> Iterator[str]:
     if args.format == "json":
-        yield from _json_document(
-            {
-                "family": rs.family,
-                "rank": rs.rank,
-                "dynkin_diagram": dynkin_description(rs),
-                "cartan_matrix": [list(row) for row in rs.cartan],
-                "simple_roots": _vectors(rs.simple_roots),
-                "positive_roots": _vectors(rs.positive_roots),
-                "highest_root": list(rs.highest_root),
-                "counts": {"positive_roots": len(rs.positive_roots)},
-            }
-        )
+        doc = {
+            "family": rs.family,
+            "rank": rs.rank,
+            "dynkin_diagram": dynkin_description(rs),
+            "cartan_matrix": [list(row) for row in rs.cartan],
+            "simple_roots": _vectors(rs.simple_roots),
+            "positive_roots": _vectors(rs.positive_roots),
+            "highest_root": list(rs.highest_root),
+            "counts": {"positive_roots": len(rs.positive_roots)},
+        }
+        yield json.dumps(doc, indent=2) + "\n"
         return
     u = args.unicode
     yield f"{dynkin_description(rs, u)}\n"
@@ -294,9 +255,9 @@ def _cmd_roots(args, rs: RootSystem) -> Iterator[str]:
 
 
 def _cmd_ideals(args, rs: RootSystem) -> Iterator[str]:
-    layers = _layered(_brute_force_masks(rs), rs) if args.oracle else _enumerate_masks(rs)
-    if args.include_zero:
-        layers = chain([[0]], layers)
+    layers = iter(_layered(_brute_force_masks(rs), rs) if args.oracle else _enumerate_masks(rs))
+    if not args.include_zero:
+        next(layers)  # the zero ideal
     if args.format == "json":
         counts = _Counts(rs)
         entry = _entry_renderer(rs, 4)
@@ -307,17 +268,17 @@ def _cmd_ideals(args, rs: RootSystem) -> Iterator[str]:
 
 
 def _cmd_abelian(args, rs: RootSystem) -> Iterator[str]:
-    layers = chain([[0]], _enumerate_masks(rs))
     if args.format == "json":
+        # walks every layer: the counts cover all ideals
         counts = _Counts(rs)
         entry = _entry_renderer(rs, 4)
         entries = (
-            [entry(m, True) for m, a in zip(layer, counts.flags(layer)) if a] for layer in layers
+            [entry(m, True) for m, a in zip(layer, counts.flags(layer)) if a]
+            for layer in _enumerate_masks(rs)
         )
         yield from _listing_document(rs, entries, counts)
     else:
-        kept = ([m for m in layer if _is_abelian_mask(m, rs)] for layer in layers)
-        yield from _text_lines(kept, _mask_renderer(rs, args.unicode))
+        yield from _text_lines(_abelian_masks(rs), _mask_renderer(rs, args.unicode))
 
 
 def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
@@ -326,13 +287,10 @@ def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
 
         @functools.cache
         def rest(kernel: CartanKernelBasis, mixed: bool) -> str:
-            return _json_members(
-                {
-                    "kernel_dimension": kernel.dimension,
-                    "kernel_basis": [list(v) for v in kernel.vectors],
-                    "mixed": mixed,
-                },
-                4,
+            basis = _json_block([list(v) for v in kernel.vectors], 6)
+            return (
+                f',\n      "kernel_dimension": {kernel.dimension}'
+                f',\n      "kernel_basis": {basis},\n      "mixed": {json.dumps(mixed)}'
             )
 
         counts = _Counts(rs)
@@ -360,7 +318,7 @@ def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
 
 
 def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:
-    layers = [[0], *_enumerate_masks(rs)]
+    layers = list(_enumerate_masks(rs))
     render = _mask_renderer(rs, args.unicode)
     if args.format == "dot":
         nodes = ([(render(m), _is_abelian_mask(m, rs)) for m in layer] for layer in layers)
@@ -373,17 +331,23 @@ def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:
             [f"[{pad}  {a},{pad}  {b}{pad}]" for a, b in block]
             for block in _cover_edges(layers, rs)
         )
-        lattice = {"nodes": nodes, "edges": edges}
-        yield from _json_document({"family": rs.family, "rank": rs.rank, "lattice": lattice})
+        header = json.dumps({"family": rs.family, "rank": rs.rank}, indent=2)
+        yield header.removesuffix("\n}") + ',\n  "lattice": {\n    "nodes": '
+        yield from _json_list(nodes, 4)
+        yield ',\n    "edges": '
+        yield from _json_list(edges, 4)
+        yield "\n  }\n}\n"
     else:
         yield f"nodes ({sum(map(len, layers))}):\n"
         start = 0
         for layer in layers:
             yield "".join([f"{i}: {render(m)}\n" for i, m in enumerate(layer, start)])
             start += len(layer)
-        blocks = list(_cover_edges(layers, rs))
-        yield f"edges ({sum(map(len, blocks))}):\n"
-        for block in blocks:
+        # An ideal covers one ideal per minimal root.  Antichains of the root
+        # poset counted by size are symmetric under k <-> rank - k
+        # (Athanasiadis), so the covers number rank * nodes / 2.
+        yield f"edges ({rs.rank * start // 2}):\n"
+        for block in _cover_edges(layers, rs):
             yield "".join([f"{a} -> {b}\n" for a, b in block])
 
 
@@ -391,14 +355,13 @@ def _cmd_normalizer(args, rs: RootSystem) -> Iterator[str]:
     sub = monomial_subalgebra(parse_root_set(args.set, rs), rs)
     result = monomial_normalizer(sub, rs)
     if args.format == "json":
-        yield from _json_document(
-            {
-                "family": rs.family,
-                "rank": rs.rank,
-                "set": _vectors(sub.roots),
-                "normalizer": _vectors(result.roots),
-            }
-        )
+        doc = {
+            "family": rs.family,
+            "rank": rs.rank,
+            "set": _vectors(sub.roots),
+            "normalizer": _vectors(result.roots),
+        }
+        yield json.dumps(doc, indent=2) + "\n"
     else:
         yield _mask_renderer(rs, args.unicode)(rs.mask_of(result.roots)) + "\n"
 
@@ -407,14 +370,13 @@ def _cmd_centralizer(args, rs: RootSystem) -> Iterator[str]:
     sub = monomial_subalgebra(parse_root_set(args.set, rs), rs)
     result = rs.mask_of(monomial_centralizer(sub, rs))
     if args.format == "json":
-        yield from _json_document(
-            {
-                "family": rs.family,
-                "rank": rs.rank,
-                "set": _vectors(sub.roots),
-                "centralizer": _mask_vectors(result, rs),
-            }
-        )
+        doc = {
+            "family": rs.family,
+            "rank": rs.rank,
+            "set": _vectors(sub.roots),
+            "centralizer": _mask_vectors(result, rs),
+        }
+        yield json.dumps(doc, indent=2) + "\n"
     else:
         yield _mask_renderer(rs, args.unicode)(result) + "\n"
 
@@ -428,14 +390,13 @@ def _cmd_check(args, rs: RootSystem) -> Iterator[str]:
         "is_abelian_set": _is_abelian_mask(mask, rs),
     }
     if args.format == "json":
-        yield from _json_document(
-            {
-                "family": rs.family,
-                "rank": rs.rank,
-                "set": _mask_vectors(mask, rs),
-                "checks": checks,
-            }
-        )
+        doc = {
+            "family": rs.family,
+            "rank": rs.rank,
+            "set": _mask_vectors(mask, rs),
+            "checks": checks,
+        }
+        yield json.dumps(doc, indent=2) + "\n"
         return
     yield f"set: {_mask_renderer(rs, args.unicode)(mask)}\n"
     yield f"monomial ideal: {'yes' if checks['is_monomial_ideal'] else 'no'}\n"

@@ -4,8 +4,8 @@ A monomial ideal is a set of positive roots closed under addition of simple
 roots (whenever the sum is again a root); it encodes the span of the
 corresponding root vectors, which is an ideal of the Borel subalgebra
 contained in the nilradical.  Enumeration proceeds breadth-first from the
-one-dimensional ideals, adding one admissible root vector per step; a
-brute-force subset filter doubles as an independent oracle on small systems.
+zero ideal, adding one admissible root vector per step; a brute-force subset
+filter doubles as an independent oracle on small systems.
 
 General ideals are the monomial ones enriched by a Cartan part: for a fixed
 root set, the admissible Cartan vectors are exactly those annihilated by
@@ -20,7 +20,7 @@ function returns them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import groupby, islice, takewhile
 from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityError, InvalidInputError
@@ -161,11 +161,12 @@ def enumerate_nilradical_ideals(rs: RootSystem) -> frozenset[MonomialIdeal]:
     and deduplicates on the bitmask, so an ideal reachable along several
     chains is produced once.  The zero ideal is not included.
     """
-    return frozenset(_ideal_from_mask(m, rs) for layer in _enumerate_masks(rs) for m in layer)
+    nonzero = islice(_enumerate_masks(rs), 1, None)
+    return frozenset(_ideal_from_mask(m, rs) for layer in nonzero for m in layer)
 
 
 def _enumerate_masks(rs: RootSystem) -> Iterator[list[int]]:
-    """Nonzero ideal masks one dimension at a time, each layer in ``_sorted_masks`` order.
+    """Ideal masks one dimension at a time from zero up, each layer in ``_sorted_masks`` order.
 
     Every mask grown from a layer has one more root, so duplicates can only
     meet inside the next layer, and the search keeps no other state.  Each
@@ -175,7 +176,8 @@ def _enumerate_masks(rs: RootSystem) -> Iterator[list[int]]:
     """
     up, down = rs._up_masks, rs._down_masks
     frontier = {0: sum(1 << g for g, above in enumerate(up) if above == 0)}
-    while True:
+    while frontier:
+        yield _sorted_masks(frontier, rs)
         grown: dict[int, int] = {}
         for mask, addable in frontier.items():
             for g in mask_indices(addable):
@@ -183,9 +185,6 @@ def _enumerate_masks(rs: RootSystem) -> Iterator[list[int]]:
                 if bigger not in grown:
                     admitted = sum(1 << h for h in mask_indices(down[g]) if up[h] & ~bigger == 0)
                     grown[bigger] = addable & ~(1 << g) | admitted
-        if not grown:
-            return
-        yield _sorted_masks(grown, rs)
         frontier = grown
 
 
@@ -195,17 +194,19 @@ _ORACLE_CAP = 20
 
 def brute_force_ideals(rs: RootSystem, max_positive_roots: int = _ORACLE_CAP) -> frozenset[MonomialIdeal]:
     """Filter all nonempty subsets of R+ by the closure test (oracle use only)."""
-    return frozenset(_ideal_from_mask(m, rs) for m in _brute_force_masks(rs, max_positive_roots))
+    nonzero = _brute_force_masks(rs, max_positive_roots)[1:]
+    return frozenset(_ideal_from_mask(m, rs) for m in nonzero)
 
 
 def _brute_force_masks(rs: RootSystem, max_positive_roots: int = _ORACLE_CAP) -> list[int]:
+    """Masks of all subsets of R+ that pass the closure test, the zero ideal first."""
     n = len(rs.positive_roots)
     if n > max_positive_roots:
         raise CapacityError(
             f"{rs.family}{rs.rank} has {n} positive roots; brute force is capped at "
             f"{max_positive_roots} (2^{n} subsets)"
         )
-    return [mask for mask in range(1, 1 << n) if _is_ideal_mask(mask, rs)]
+    return [mask for mask in range(1 << n) if _is_ideal_mask(mask, rs)]
 
 
 def is_abelian(ideal: MonomialIdeal, rs: RootSystem) -> bool:
@@ -215,12 +216,19 @@ def is_abelian(ideal: MonomialIdeal, rs: RootSystem) -> bool:
 
 def abelian_ideals(rs: RootSystem) -> tuple[MonomialIdeal, ...]:
     """All abelian monomial ideals including the zero ideal, canonically sorted."""
-    return (ZERO_IDEAL,) + tuple(
-        _ideal_from_mask(m, rs)
-        for layer in _enumerate_masks(rs)
-        for m in layer
-        if _is_abelian_mask(m, rs)
-    )
+    return tuple(_ideal_from_mask(m, rs) for layer in _abelian_masks(rs) for m in layer)
+
+
+def _abelian_masks(rs: RootSystem) -> Iterator[list[int]]:
+    """Abelian ideal masks a layer at a time, zero first, up to the last layer that has one.
+
+    A subset of an abelian ideal is abelian, and a nonzero ideal minus one of
+    its minimal roots is an ideal one dimension lower; so after the first
+    layer without an abelian ideal no later layer has one, and the search
+    stops there.
+    """
+    layers = ([m for m in layer if _is_abelian_mask(m, rs)] for layer in _enumerate_masks(rs))
+    return takewhile(bool, layers)
 
 
 @dataclass(frozen=True)
@@ -292,7 +300,7 @@ def _classified_masks(rs: RootSystem) -> Iterator[list[tuple[int, CartanKernelBa
     simple = (1 << rs.rank) - 1
     full = rs.full_mask
     kernels: dict[int, CartanKernelBasis] = {}
-    for layer in chain([[0]], _enumerate_masks(rs)):
+    for layer in _enumerate_masks(rs):
         out = []
         for mask in layer:
             missing = ~mask & simple

@@ -35,13 +35,13 @@ class IdealLattice:
 
 def build_lattice(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> IdealLattice:
     """Assemble the lattice from the complete set of nonzero monomial ideals."""
-    masks = set()
+    masks = {0}
     for ideal in ideals:
         mask = rs.mask_of(ideal.roots)
         if not _is_ideal_mask(mask, rs):
             raise InvalidInputError(f"not a monomial ideal: {ideal_ascii(ideal)}")
         masks.add(mask)
-    layers = [[0]] + _layered(masks - {0}, rs)
+    layers = _layered(masks, rs)
     nodes = [m for layer in layers for m in layer]
     return IdealLattice(
         nodes=tuple(_ideal_from_mask(m, rs) for m in nodes),

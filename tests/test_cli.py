@@ -343,6 +343,23 @@ def test_large_json_listing_runs_in_bounded_memory(tmp_path):
     assert digest == "8b35f529c7317abf0b3127d32c98865d62a132e0775e0f267082bdf8fdfd27fa"
 
 
+def test_lattice_text_streams_its_cover_edges(tmp_path):
+    # The edge count is printed from rank * nodes / 2, so the covers are
+    # written as they are found; holding them peaked at 25 MB.
+    target = tmp_path / "a10.txt"
+    tracemalloc.start()
+    try:
+        code = run(["lattice", "A", "10", "--out", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 2**20
+    lines = target.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("edges ("))
+    assert lines[at] == f"edges ({len(lines) - at - 1}):"
+
+
 def test_json_outputs_validate_against_schema(capsys):
     for argv in (
         ["roots", "B", "2", "--format", "json"],

@@ -18,6 +18,8 @@ from borelideals import (
     is_monomial_ideal,
     one_dimensional_ideals,
 )
+from borelideals import ideals as ideals_module
+from borelideals.cli import run
 from borelideals.ideals import _enumerate_masks, nonzero_ideal_count
 from borelideals.roots import positive_root_count
 from conftest import system
@@ -259,6 +261,32 @@ def test_abelian_count_is_two_to_the_rank(family, rank):
     assert listed == tuple(sorted(listed, key=ideal_sort_key))
 
 
+@pytest.mark.parametrize("family,rank", [("A", 9), ("E", 8)])
+def test_abelian_search_stops_at_the_first_empty_layer(family, rank, monkeypatch, tmp_path):
+    # a subset of an abelian ideal is abelian, and every nonzero ideal covers
+    # one a dimension lower: no layer after the first without an abelian
+    # ideal holds one, so the library and the text listing stop there
+    rs = system(family, rank)
+    pulled = []
+
+    def counted(rs, enumerate_masks=ideals_module._enumerate_masks):
+        for layer in enumerate_masks(rs):
+            pulled.append(layer)
+            yield layer
+
+    monkeypatch.setattr(ideals_module, "_enumerate_masks", counted)
+    listed = abelian_ideals(rs)
+    top = max(j.dimension for j in listed)
+    assert len(pulled) == top + 2
+    assert not any(ideals_module._is_abelian_mask(m, rs) for m in pulled[-1])
+    assert len(listed) == 2**rank
+    pulled.clear()
+    target = tmp_path / "abelian.txt"
+    assert run(["abelian", family, str(rank), "--out", str(target)]) == 0
+    assert len(pulled) == top + 2
+    assert len(target.read_text().splitlines()) == 2**rank
+
+
 def test_cartan_kernel_values():
     a2 = system("A", 2)
     assert cartan_kernel(MonomialIdeal(a2.positive_roots), a2).vectors == (
@@ -338,14 +366,16 @@ def test_classification_matches_per_ideal_kernels(family, rank):
     [("A", 6), ("B", 5), ("C", 5), ("D", 6), ("E", 6), ("E", 7), ("F", 4), ("G", 2)],
 )
 def test_mask_order_matches_ideal_sort_key(family, rank):
-    # the layers, each sorted on its own, joined in order give the whole sort
+    # the layers start at the zero ideal; each sorted on its own, joined in
+    # order they give the whole sort
     rs = system(family, rank)
     ideals = enumerate_nilradical_ideals(rs)
     layers = list(_enumerate_masks(rs))
+    assert layers[0] == [0]
     assert [{m.bit_count() for m in layer} for layer in layers] == [
-        {d} for d in range(1, len(rs.positive_roots) + 1)
+        {d} for d in range(len(rs.positive_roots) + 1)
     ]
-    by_mask = [m for layer in layers for m in layer]
+    by_mask = [m for layer in layers[1:] for m in layer]
     assert by_mask == [rs.mask_of(j.roots) for j in sorted(ideals, key=ideal_sort_key)]
 
 

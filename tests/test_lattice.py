@@ -13,7 +13,10 @@ from borelideals import (
     export_dot,
     is_abelian,
 )
+from borelideals.ideals import _enumerate_masks
+from borelideals.lattice import _cover_edges
 from conftest import system
+from test_ideals import CLOSED_FORM_SYSTEMS
 
 
 def cover_edges_by_inclusion(nodes):
@@ -158,3 +161,14 @@ def test_abelian_flags_match_filter():
     rs, lattice = build("G", 2)
     for node, flag in zip(lattice.nodes, lattice.abelian):
         assert flag == is_abelian(node, rs)
+
+
+@pytest.mark.parametrize("family,rank", CLOSED_FORM_SYSTEMS)
+def test_cover_count_is_rank_times_nodes_over_two(family, rank):
+    # an ideal covers one ideal per minimal root, and the antichains of the
+    # root poset counted by size are symmetric under k <-> rank - k
+    # (Athanasiadis 2005); `lattice` text prints this count before the covers
+    rs = system(family, rank)
+    layers = list(_enumerate_masks(rs))
+    covers = sum(map(len, _cover_edges(layers, rs)))
+    assert 2 * covers == rank * sum(map(len, layers))
