@@ -27,10 +27,10 @@ from collections.abc import Callable, Iterable, Iterator
 from .errors import CapacityError, InvalidInputError
 from .ideals import (
     NOTE_GENERAL_IDEALS,
-    CartanKernelBasis,
+    _abelian_flags,
     _abelian_masks,
     _brute_force_masks,
-    _classified_masks,
+    _classification,
     _enumerate_masks,
     _is_abelian_mask,
     _layered,
@@ -38,7 +38,7 @@ from .ideals import (
     is_monomial_ideal,
     nonzero_ideal_count,
 )
-from .lattice import DotOptions, _cover_edges, _dimension_counts, _dot_chunks
+from .lattice import DotOptions, _Counts, _cover_edges, _dot_chunks
 from .roots import (
     Root,
     RootSystem,
@@ -182,26 +182,6 @@ def _entry_renderer(rs: RootSystem, depth: int) -> Callable[..., str]:
     return entry
 
 
-class _Counts:
-    """The ``counts`` of a JSON listing, tallied from the ideal layers as they stream."""
-
-    def __init__(self, rs: RootSystem) -> None:
-        self.rs = rs
-        self.histogram: dict[int, int] = {}
-        self.abelian = 0
-
-    def flags(self, layer: list[int]) -> list[bool]:
-        """Abelian flag of each mask of a layer, counting the layer unless it is the zero ideal."""
-        flags = [_is_abelian_mask(m, self.rs) for m in layer]
-        if layer[0]:
-            self.histogram[layer[0].bit_count()] = len(layer)
-            self.abelian += sum(flags)
-        return flags
-
-    def payload(self) -> dict:
-        return dataclasses.asdict(_dimension_counts(self.histogram, self.abelian))
-
-
 def _listing_document(
     rs: RootSystem, entries: Iterator[list[str]], counts: _Counts, note: str | None = None
 ) -> Iterator[str]:
@@ -212,7 +192,7 @@ def _listing_document(
     yield json.dumps(header, indent=2).removesuffix("\n}") + ',\n  "ideals": '
     yield from _json_list(entries, 2)
     # the entries have streamed past, so the counts are complete
-    yield f',\n  "counts": {_json_block(counts.payload(), 2)}\n}}\n'
+    yield f',\n  "counts": {_json_block(dataclasses.asdict(counts.result()), 2)}\n}}\n'
 
 
 def _text_lines(layers: Iterable[Iterable[int]], render: Callable[[int], str]) -> Iterator[str]:
@@ -282,11 +262,13 @@ def _cmd_abelian(args, rs: RootSystem) -> Iterator[str]:
 
 
 def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
-    layers = _classified_masks(rs)
+    simple = (1 << rs.rank) - 1  # an ideal's suffix depends on the simple roots it misses
+    layers = _enumerate_masks(rs)
     if args.format == "json":
 
         @functools.cache
-        def rest(kernel: CartanKernelBasis, mixed: bool) -> str:
+        def rest(missing: int) -> str:
+            kernel, mixed = _classification(missing, rs)
             basis = _json_block([list(v) for v in kernel.vectors], 6)
             return (
                 f',\n      "kernel_dimension": {kernel.dimension}'
@@ -298,15 +280,15 @@ def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
 
         def entries():
             for layer in layers:
-                flags = counts.flags([mask for mask, _, _ in layer])
-                yield [entry(m, a, rest(k, mixed)) for (m, k, mixed), a in zip(layer, flags)]
+                yield [entry(m, a, rest(~m & simple)) for m, a in zip(layer, counts.flags(layer))]
 
         yield from _listing_document(rs, entries(), counts, NOTE_GENERAL_IDEALS)
         return
     u = args.unicode
 
     @functools.cache
-    def suffix(kernel: CartanKernelBasis, mixed: bool) -> str:
+    def suffix(missing: int) -> str:
+        kernel, mixed = _classification(missing, rs)
         basis = "; ".join(_cartan_combo_ascii(v, u) for v in kernel.vectors) or "-"
         mark = " | mixed" if mixed else ""
         return f" | kernel dim {kernel.dimension} | kernel basis: {basis}{mark}"
@@ -314,19 +296,20 @@ def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
     render = _mask_renderer(rs, u)
     yield f"note: {NOTE_GENERAL_IDEALS}\n"
     for layer in layers:
-        yield "".join([f"{render(m)}{suffix(k, mixed)}\n" for m, k, mixed in layer])
+        yield "".join([f"{render(m)}{suffix(~m & simple)}\n" for m in layer])
 
 
 def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:
     layers = list(_enumerate_masks(rs))
     render = _mask_renderer(rs, args.unicode)
+    flags = _abelian_flags(rs)
     if args.format == "dot":
-        nodes = ([(render(m), _is_abelian_mask(m, rs)) for m in layer] for layer in layers)
+        nodes = ([(render(m), a) for m, a in zip(layer, flags(layer))] for layer in layers)
         yield from _dot_chunks(nodes, _cover_edges(layers, rs), DotOptions())
     elif args.format == "json":
         entry = _entry_renderer(rs, 6)
         pad = "\n" + " " * 6
-        nodes = ([entry(m, _is_abelian_mask(m, rs)) for m in layer] for layer in layers)
+        nodes = ([entry(m, a) for m, a in zip(layer, flags(layer))] for layer in layers)
         edges = (
             [f"[{pad}  {a},{pad}  {b}{pad}]" for a, b in block]
             for block in _cover_edges(layers, rs)

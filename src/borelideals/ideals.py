@@ -19,6 +19,7 @@ function returns them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import groupby, islice, takewhile
 from typing import Callable, Iterable, Iterator
@@ -92,6 +93,24 @@ def _is_abelian_mask(mask: int, rs: RootSystem) -> bool:
     """Whether no two roots of the mask (repeats allowed) sum to a root."""
     sums = rs._sum_masks
     return all(sums[g] & mask == 0 for g in mask_indices(mask))
+
+
+def _abelian_flags(rs: RootSystem) -> Callable[[list[int]], list[bool]]:
+    """Abelian flag of each mask of a layer, for complete layers given in rising dimension.
+
+    A subset of an abelian ideal is abelian, and a nonzero ideal minus one of
+    its minimal roots is an ideal one dimension lower; so no layer after the
+    first without an abelian ideal has one, and its flags are False untested.
+    """
+    seen = True  # whether the layer before had an abelian ideal
+
+    def flags(layer: list[int]) -> list[bool]:
+        nonlocal seen
+        out = [seen and _is_abelian_mask(m, rs) for m in layer]
+        seen = any(out)
+        return out
+
+    return flags
 
 
 def _ideal_from_mask(mask: int, rs: RootSystem) -> MonomialIdeal:
@@ -222,13 +241,10 @@ def abelian_ideals(rs: RootSystem) -> tuple[MonomialIdeal, ...]:
 def _abelian_masks(rs: RootSystem) -> Iterator[list[int]]:
     """Abelian ideal masks a layer at a time, zero first, up to the last layer that has one.
 
-    A subset of an abelian ideal is abelian, and a nonzero ideal minus one of
-    its minimal roots is an ideal one dimension lower; so after the first
-    layer without an abelian ideal no later layer has one, and the search
-    stops there.
+    No later layer has one (see ``_abelian_flags``), so the search stops there.
     """
-    layers = ([m for m in layer if _is_abelian_mask(m, rs)] for layer in _enumerate_masks(rs))
-    return takewhile(bool, layers)
+    flags = _abelian_flags(rs)
+    return takewhile(bool, ([m for m, a in zip(ms, flags(ms)) if a] for ms in _enumerate_masks(rs)))
 
 
 @dataclass(frozen=True)
@@ -288,36 +304,27 @@ class IdealClassification:
     note: str = NOTE_GENERAL_IDEALS
 
 
-def _classified_masks(rs: RootSystem) -> Iterator[list[tuple[int, CartanKernelBasis, bool]]]:
-    """(mask, Cartan kernel, mixed) for every ideal, a layer at a time: zero first, then sorted.
+def _classification(missing: int, rs: RootSystem) -> tuple[CartanKernelBasis, bool]:
+    """Cartan kernel and ``mixed`` flag of the ideals that miss the simple roots in ``missing``.
 
     The complement of an ideal is a down-set of the root poset, so it holds
     every simple root in the support of its members: its pairing rows span
     the same space as the Cartan rows of the simple roots missing from the
-    ideal (Cellini-Papi).  The kernel therefore depends only on those simple
-    roots and is computed once per distinct set, at most 2^rank times.
+    ideal (Cellini-Papi).  So there are at most 2^rank kernels.  Every root
+    lies above a simple root, so only the whole nilradical misses none.
     """
-    simple = (1 << rs.rank) - 1
-    full = rs.full_mask
-    kernels: dict[int, CartanKernelBasis] = {}
-    for layer in _enumerate_masks(rs):
-        out = []
-        for mask in layer:
-            missing = ~mask & simple
-            kernel = kernels.get(missing)
-            if kernel is None:
-                rows = [rs.cartan[i] for i in mask_indices(missing)]
-                kernel = kernels[missing] = CartanKernelBasis(kernel_basis(rows, rs.rank))
-            out.append((mask, kernel, kernel.dimension > 0 and mask != full))
-        yield out
+    kernel = CartanKernelBasis(kernel_basis([rs.cartan[i] for i in mask_indices(missing)], rs.rank))
+    return kernel, kernel.dimension > 0 and missing != 0
 
 
 def full_ideal_classification(rs: RootSystem) -> IdealClassification:
     """Pair every monomial ideal with its Cartan kernel, smallest ideals first."""
+    simple = (1 << rs.rank) - 1
+    classify = functools.cache(lambda missing: _classification(missing, rs))
     return IdealClassification(
         entries=tuple(
-            ClassificationEntry(ideal=_ideal_from_mask(mask, rs), kernel=kernel, mixed=mixed)
-            for layer in _classified_masks(rs)
-            for mask, kernel, mixed in layer
+            ClassificationEntry(_ideal_from_mask(mask, rs), *classify(~mask & simple))
+            for layer in _enumerate_masks(rs)
+            for mask in layer
         )
     )

@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError
 from .ideals import (
     MonomialIdeal,
+    _abelian_flags,
     _ideal_from_mask,
-    _is_abelian_mask,
     _is_ideal_mask,
     _layered,
     ideal_ascii,
@@ -42,11 +41,10 @@ def build_lattice(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> IdealLatti
             raise InvalidInputError(f"not a monomial ideal: {ideal_ascii(ideal)}")
         masks.add(mask)
     layers = _layered(masks, rs)
-    nodes = [m for layer in layers for m in layer]
     return IdealLattice(
-        nodes=tuple(_ideal_from_mask(m, rs) for m in nodes),
+        nodes=tuple(_ideal_from_mask(m, rs) for layer in layers for m in layer),
         cover_edges=tuple(chain.from_iterable(_cover_edges(layers, rs))),
-        abelian=tuple(_is_abelian_mask(m, rs) for m in nodes),
+        abelian=tuple(chain.from_iterable(map(_abelian_flags(rs), layers))),
     )
 
 
@@ -94,22 +92,42 @@ class DimensionCounts:
 
 
 def counts_by_dimension(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> DimensionCounts:
-    """Count nonzero ideals per dimension, totals with/without zero, and abelian."""
-    masks = {rs.mask_of(j.roots) for j in ideals} - {0}
-    return _dimension_counts(
-        Counter(m.bit_count() for m in masks), sum(_is_abelian_mask(m, rs) for m in masks)
-    )
+    """Count nonzero ideals per dimension, totals with/without zero, and abelian.
+
+    With each member, ``ideals`` must hold the nonzero ideals inside it, as
+    all ideals and all abelian ones do: no ideal past the first dimension
+    without an abelian member is tested.
+    """
+    counts = _Counts(rs)
+    for layer in _layered({rs.mask_of(j.roots) for j in ideals} - {0}, rs):
+        counts.flags(layer)
+    return counts.result()
 
 
-def _dimension_counts(histogram: Mapping[int, int], abelian_nonzero: int) -> DimensionCounts:
-    """Counts of nonzero ideals from their number per dimension and the abelian ones among them."""
-    nonzero = sum(histogram.values())
-    return DimensionCounts(
-        by_dimension=dict(sorted(histogram.items())),
-        nonzero_total=nonzero,
-        with_zero_total=nonzero + 1,
-        abelian_total=1 + abelian_nonzero,
-    )
+class _Counts:
+    """``DimensionCounts`` tallied from complete ideal layers, fed in rising dimension."""
+
+    def __init__(self, rs: RootSystem) -> None:
+        self.histogram: dict[int, int] = {}
+        self.abelian = 0
+        self._flags = _abelian_flags(rs)
+
+    def flags(self, layer: list[int]) -> list[bool]:
+        """Abelian flag of each mask of a layer, counting the layer unless it is the zero ideal."""
+        flags = self._flags(layer)
+        if layer[0]:
+            self.histogram[layer[0].bit_count()] = len(layer)
+            self.abelian += sum(flags)
+        return flags
+
+    def result(self) -> DimensionCounts:
+        nonzero = sum(self.histogram.values())
+        return DimensionCounts(
+            by_dimension=dict(sorted(self.histogram.items())),
+            nonzero_total=nonzero,
+            with_zero_total=nonzero + 1,
+            abelian_total=1 + self.abelian,
+        )
 
 
 @dataclass(frozen=True)

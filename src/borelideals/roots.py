@@ -1,11 +1,11 @@
 """Root systems of the simple Lie algebras, built from their Cartan matrices.
 
 A root is an integer coefficient vector over the simple roots.  Starting from
-the simple roots (the unit vectors), the full set of positive roots is
-generated by repeatedly applying simple reflections to roots that pair
-negatively with a simple root.  Everything here is exact integer arithmetic on
-immutable tuples; a constructed ``RootSystem`` is safe to share freely across
-threads or workers.
+the simple roots (the unit vectors), the positive roots are generated one
+height at a time: a root r extends to r + alpha_j exactly when its alpha_j-string
+reaches above it.  Everything here is exact integer arithmetic; a constructed
+``RootSystem`` is safe to share freely across threads or workers (the rows it
+fills on first use are the same whichever thread fills them).
 
 Simple-root indices are 0-based throughout the API; renderings ("a1", "a2",
 ...) are 1-based to match the usual labelling of Dynkin diagram nodes.
@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, count
+from operator import add
 from typing import Iterable
 
 from .errors import InvalidInputError, StructuralError
@@ -162,14 +163,23 @@ def root_sort_key(root: Root) -> tuple:
 
 
 def generate_positive_roots(cartan: CartanMatrix) -> tuple[Root, ...]:
-    """All positive roots of the system with the given Cartan matrix.
+    """All positive roots of the system with the given Cartan matrix, canonically sorted.
 
-    Starts from the simple roots and repeatedly reflects every newly found
-    root r by each simple root it pairs negatively with; such a reflection
-    adds a positive multiple of a simple root, so the procedure climbs in
-    height and terminates.  The result is deduplicated and canonically
-    sorted.  A matrix not of finite type has infinitely many real roots, so
-    it is rejected once a coefficient exceeds ``MAX_COEFFICIENT``.
+    A matrix not of finite type has infinitely many real roots, so it is
+    rejected once a coefficient exceeds ``MAX_COEFFICIENT``.
+    """
+    return _climb(cartan)[0]
+
+
+def _climb(cartan: CartanMatrix) -> tuple[tuple[Root, ...], dict[int, int], list[int], list[int]]:
+    """Positive roots in canonical order, their key index, ``_up_masks`` and ``_down_masks``.
+
+    For a root r other than alpha_j, r + alpha_j is a root exactly when p >
+    <r, alpha_j^v>, where p is the length of the alpha_j-string below r, r -
+    alpha_j, ..., r - p alpha_j (Humphreys, section 9.4).  Every root of a
+    lower height is known by then, so p takes key lookups.  Each root carries
+    its pairings with the simple coroots; those of r + alpha_j add row j of
+    the Cartan matrix.
     """
     rank = len(cartan)
     for i, row in enumerate(cartan):
@@ -179,22 +189,49 @@ def generate_positive_roots(cartan: CartanMatrix) -> tuple[Root, ...]:
             if i != j and (a > 0 or a < -3 or (a == 0) != (cartan[j][i] == 0)):
                 raise InvalidInputError("malformed Cartan matrix: bad off-diagonal entry")
 
-    simple = [tuple(1 if i == j else 0 for i in range(rank)) for j in range(rank)]
-    found: set[Root] = set(simple)
-    frontier: list[Root] = list(simple)
-    while frontier:
-        fresh: list[Root] = []
-        for r in frontier:
-            for j in range(rank):
-                if coroot_pairing(r, j, cartan) < 0:
-                    s = reflect_simple(r, j, cartan)
-                    if s[j] > MAX_COEFFICIENT:
+    units = [1 << _KEY_BITS * j for j in range(rank)]
+    roots: list[Root] = []
+    index: dict[int, int] = {}  # key -> canonical index, filled in canonical order
+    up: list[int] = []
+    down: list[int] = []
+    # (root, key, pairings) of one height; the simple roots pair by their Cartan rows
+    level = [(tuple(int(i == j) for i in range(rank)), units[j], cartan[j]) for j in range(rank)]
+    while level:
+        level.sort(reverse=True)  # descending coefficient vectors: canonical order within a height
+        fresh: dict[int, tuple[Root, int, tuple[int, ...]]] = {}
+        for r, key, pairings in level:
+            g = index[key] = len(roots)
+            roots.append(r)
+            up.append(0)
+            down.append(0)
+            for j, unit in enumerate(units):
+                p = 0
+                while p < r[j] and key - (p + 1) * unit in index:
+                    p += 1
+                if p:  # r - alpha_j is a root
+                    h = index[key - unit]
+                    up[h] |= 1 << g
+                    down[g] |= 1 << h
+                if p > pairings[j] and key + unit not in fresh:
+                    if r[j] + 1 > MAX_COEFFICIENT:
                         raise InvalidInputError("Cartan matrix is not of finite type")
-                    if s not in found:
-                        found.add(s)
-                        fresh.append(s)
-        frontier = fresh
-    return tuple(sorted(found, key=root_sort_key))
+                    above = r[:j] + (r[j] + 1,) + r[j + 1 :]
+                    fresh[key + unit] = (above, key + unit, tuple(map(add, pairings, cartan[j])))
+        level = list(fresh.values())
+    return tuple(roots), index, up, down
+
+
+class _SumRows(dict):
+    """``RootSystem._sum_masks``: rows made on first read, from the keys alone."""
+
+    def __init__(self, keys: tuple[int, ...], key_index: dict[int, int]) -> None:
+        super().__init__()
+        self._keys, self._key_index = keys, key_index
+
+    def __missing__(self, g: int) -> int:
+        k, index = self._keys[g], self._key_index
+        row = self[g] = sum(1 << h for h, other in enumerate(self._keys) if k + other in index)
+        return row
 
 
 @dataclass(frozen=True)
@@ -207,7 +244,9 @@ class RootSystem:
     is the bitmask (over canonical indices) of roots of the form
     ``positive_roots[g] + alpha_j``, and ``_sum_masks[g]`` the bitmask of
     roots h with ``positive_roots[g] + positive_roots[h]`` again a root.
-    ``_down_masks[g]`` is the converse of ``_up_masks``, built on first use.
+    Each ``_sum_masks`` row is built on its first read, so a query pays only
+    for the rows of the roots it holds.  ``_down_masks[g]`` is the converse of
+    ``_up_masks``.
     ``_keys[g]`` packs ``positive_roots[g]`` into ``_KEY_BITS``-bit fields, so
     adding keys adds roots; ``sum_index`` looks sums up in ``_key_index``.  A
     key made from an outside tuple could alias a root: input uses ``_position``.
@@ -225,7 +264,8 @@ class RootSystem:
     highest_root: Root
     _position: dict[Root, int] = field(compare=False, repr=False)
     _up_masks: tuple[int, ...] = field(compare=False, repr=False)
-    _sum_masks: tuple[int, ...] = field(compare=False, repr=False)
+    _down_masks: tuple[int, ...] = field(compare=False, repr=False)
+    _sum_masks: _SumRows = field(compare=False, repr=False)
     _keys: tuple[int, ...] = field(compare=False, repr=False)
     _key_index: dict[int, int] = field(compare=False, repr=False)
 
@@ -256,15 +296,6 @@ class RootSystem:
         return self._labels[unicode_alpha]
 
     @cached_property
-    def _down_masks(self) -> tuple[int, ...]:
-        # Bit h of entry g: positive_roots[h] + alpha_j == positive_roots[g] for some j.
-        down = [0] * len(self.positive_roots)
-        for h, up in enumerate(self._up_masks):
-            for g in mask_indices(up):
-                down[g] |= 1 << h
-        return tuple(down)
-
-    @cached_property
     def _labels(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         # Rendered on first use, so that commands that print no root set
         # never pay for it.
@@ -285,16 +316,8 @@ def mask_indices(mask: int) -> list[int]:
 def root_system(family: str, rank: int) -> RootSystem:
     """Build the root system for a simple type, validating its structure."""
     cm = cartan_matrix(family, rank)
-    positive = generate_positive_roots(cm)
-    position = {r: g for g, r in enumerate(positive)}
-    keys = tuple(sum(c << _KEY_BITS * i for i, c in enumerate(r)) for r in positive)
-    key_index = {k: g for g, k in enumerate(keys)}
-    up_masks = tuple(
-        sum(1 << key_index[k + a] for a in keys[:rank] if k + a in key_index) for k in keys
-    )
-    sum_masks = tuple(
-        sum(1 << h for h, other in enumerate(keys) if k + other in key_index) for k in keys
-    )
+    positive, key_index, up_masks, down_masks = _climb(cm)
+    keys = tuple(key_index)  # the index holds the keys in canonical order
 
     # Every root of greatest height is unextendable, so a single unextendable
     # root is the unique highest root.
@@ -311,9 +334,10 @@ def root_system(family: str, rank: int) -> RootSystem:
         simple_roots=positive[:rank],
         positive_roots=positive,
         highest_root=unextendable[0],
-        _position=position,
-        _up_masks=up_masks,
-        _sum_masks=sum_masks,
+        _position={r: g for g, r in enumerate(positive)},
+        _up_masks=tuple(up_masks),
+        _down_masks=tuple(down_masks),
+        _sum_masks=_SumRows(keys, key_index),
         _keys=keys,
         _key_index=key_index,
     )

@@ -28,17 +28,22 @@ class MonomialSubalgebra:
         return len(self.roots)
 
 
-def _sums_inside(g: int, mask: int, rs: RootSystem) -> bool:
-    """Whether ``positive_roots[g] + s`` is a member whenever it is a root, for members s."""
-    return all(
-        mask >> rs.sum_index(g, h) & 1 for h in mask_indices(rs._sum_masks[g] & mask)
-    )
+def _leaving(mask: int, rs: RootSystem) -> int:
+    """Bitmask of the roots r with r + s a root outside the set, for some member s.
+
+    Root addition is symmetric, so only the sum rows of the members are read.
+    """
+    out = 0
+    for h in mask_indices(mask):
+        row = mask_indices(rs._sum_masks[h])
+        out |= sum(1 << g for g in row if not mask >> rs.sum_index(g, h) & 1)
+    return out
 
 
 def is_monomial_subalgebra(roots: Iterable[Root], rs: RootSystem) -> bool:
     """Closure test: r + s in R+ implies r + s in the set, for members r, s."""
     mask = rs.mask_of(roots)
-    return all(_sums_inside(g, mask, rs) for g in mask_indices(mask))
+    return _leaving(mask, rs) & mask == 0
 
 
 def monomial_subalgebra(roots: Iterable[Root], rs: RootSystem) -> MonomialSubalgebra:
@@ -57,10 +62,8 @@ def monomial_normalizer(sub: MonomialSubalgebra, rs: RootSystem) -> MonomialSuba
     This is the normalizer of the span inside the nilradical; it always
     contains the input and is itself a monomial subalgebra.
     """
-    mask = rs.mask_of(sub.roots)
-    return MonomialSubalgebra(
-        tuple(r for g, r in enumerate(rs.positive_roots) if _sums_inside(g, mask, rs))
-    )
+    keep = rs.full_mask & ~_leaving(rs.mask_of(sub.roots), rs)
+    return MonomialSubalgebra(tuple(rs.positive_roots[g] for g in mask_indices(keep)))
 
 
 def monomial_centralizer(sub: MonomialSubalgebra, rs: RootSystem) -> frozenset[Root]:
@@ -71,8 +74,7 @@ def monomial_centralizer(sub: MonomialSubalgebra, rs: RootSystem) -> frozenset[R
     test cannot certify that the centralizer is bracket-closed, so callers
     wanting a subalgebra should run ``is_monomial_subalgebra`` on it.
     """
-    mask = rs.mask_of(sub.roots)
-    sums = rs._sum_masks
-    return frozenset(
-        r for g, r in enumerate(rs.positive_roots) if sums[g] & mask == 0
-    )
+    touched = 0
+    for h in mask_indices(rs.mask_of(sub.roots)):
+        touched |= rs._sum_masks[h]  # symmetric: bit g of row h is bit h of row g
+    return frozenset(rs.positive_roots[g] for g in mask_indices(rs.full_mask & ~touched))

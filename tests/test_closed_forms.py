@@ -1,0 +1,178 @@
+"""Closed-form shapes of the ideal lattice and of the abelian ideals, beyond the subset oracle.
+
+Each expected value comes from a formula in the literature, not from the
+code under test:
+
+- the largest abelian ideal has the Malcev dimension;
+- the maximal abelian ideals are as many as the long simple roots
+  (Panyushev, *Abelian ideals of a Borel subalgebra and long positive
+  roots*, 2003);
+- the ideals counted by their number of minimal roots, which is their
+  number of lower covers, are the W-Narayana numbers (Athanasiadis 2005;
+  Armstrong, *Generalized noncrossing partitions*), here for the classical
+  types only;
+- the abelian ideals, zero included, number 2^rank (Peterson).
+"""
+
+import json
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+from borelideals import (
+    MonomialIdeal,
+    abelian_ideals,
+    build_lattice,
+    counts_by_dimension,
+    enumerate_nilradical_ideals,
+    extension_candidates,
+    is_abelian,
+)
+from borelideals import ideals as ideals_module
+from borelideals.cli import run
+from conftest import system
+
+
+def malcev_dimension(family, rank):
+    """Dimension of the largest abelian ideal (B for rank >= 4, D for rank >= 4)."""
+    n = rank
+    classical = {
+        "A": (n + 1) ** 2 // 4,
+        "B": n * (n - 1) // 2 + 1,
+        "C": n * (n + 1) // 2,
+        "D": n * (n - 1) // 2,
+    }
+    exceptional = {("E", 6): 16, ("E", 7): 27, ("E", 8): 36, ("F", 4): 9, ("G", 2): 3}
+    return classical[family] if family in classical else exceptional[family, rank]
+
+
+def long_simple_roots(family, rank):
+    """Long simple roots: all of them in A, D, E; rank - 1 in B; one in C and G2; two in F4."""
+    return {"B": rank - 1, "C": 1, "F": 2, "G": 1}.get(family, rank)
+
+
+def w_narayana(family, n, k):
+    """Ideals with k minimal roots (zero ideal included), classical types."""
+    if family == "A":
+        value = Fraction(comb(n + 1, k) * comb(n + 1, k + 1), n + 1)
+    elif family in "BC":
+        value = Fraction(comb(n, k) ** 2)
+    else:  # D
+        below = comb(n - 1, k - 1) if k else 0
+        value = comb(n, k) ** 2 - Fraction(n, n - 1) * comb(n - 1, k) * below
+    assert value.denominator == 1
+    return int(value)
+
+
+MALCEV_SYSTEMS = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(4, 7)]
+    + [("C", n) for n in range(2, 7)]
+    + [("D", n) for n in range(4, 8)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+NARAYANA_SYSTEMS = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 7)]
+    + [("C", n) for n in range(2, 7)]
+    + [("D", n) for n in range(3, 8)]
+)
+
+
+def cli_json(argv, capsys):
+    assert run([*argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("family,rank", MALCEV_SYSTEMS)
+def test_largest_abelian_ideal_has_the_malcev_dimension(family, rank):
+    rs = system(family, rank)
+    assert max(j.dimension for j in abelian_ideals(rs)) == malcev_dimension(family, rank)
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 6), ("B", 5), ("C", 4), ("D", 5), ("E", 7), ("F", 4), ("G", 2)]
+)
+def test_every_abelian_flag_path_agrees_with_the_closed_forms(family, rank, capsys):
+    # the listings flag the ideals of every layer, and stop testing after the
+    # first layer without an abelian one
+    rs = system(family, rank)
+    top = malcev_dimension(family, rank)
+    for command in ("ideals", "abelian", "classify"):
+        payload = cli_json([command, family, str(rank)], capsys)
+        assert payload["counts"]["abelian_total"] == 2**rank
+        flagged = [e["dimension"] for e in payload["ideals"] if e["abelian"]]
+        assert max(flagged) == top
+    lattice = cli_json(["lattice", family, str(rank)], capsys)["lattice"]
+    assert sum(node["abelian"] for node in lattice["nodes"]) == 2**rank
+    assert run(["lattice", family, str(rank), "--format", "dot"]) == 0
+    assert capsys.readouterr().out.count("fillcolor") == 2**rank
+    every = enumerate_nilradical_ideals(rs)
+    built = build_lattice(every, rs)
+    assert sum(built.abelian) == 2**rank
+    assert max(n.dimension for n, a in zip(built.nodes, built.abelian) if a) == top
+    assert counts_by_dimension(every, rs).abelian_total == 2**rank
+    assert counts_by_dimension(abelian_ideals(rs), rs).abelian_total == 2**rank
+
+
+@pytest.mark.parametrize("family,rank", [("E", 8), ("A", 8)])
+def test_abelian_flags_stop_testing_after_the_last_abelian_layer(family, rank, monkeypatch, capsys):
+    rs = system(family, rank)
+    top = malcev_dimension(family, rank)
+    # ideals tested: every layer up to the Malcev dimension, and the one after
+    expected = 1 + sum(1 for j in enumerate_nilradical_ideals(rs) if j.dimension <= top + 1)
+    tested = []
+    real = ideals_module._is_abelian_mask
+    monkeypatch.setattr(
+        ideals_module, "_is_abelian_mask", lambda m, rs: tested.append(m) or real(m, rs)
+    )
+    for argv in (["ideals", "--include-zero", "--format", "json"], ["lattice", "--format", "dot"]):
+        tested.clear()
+        assert run([argv[0], family, str(rank), *argv[1:]]) == 0
+        capsys.readouterr()
+        assert len(tested) == expected
+
+
+@pytest.mark.parametrize("family,rank", MALCEV_SYSTEMS)
+def test_maximal_abelian_ideals_match_the_long_simple_roots(family, rank):
+    rs = system(family, rank)
+    maximal = [
+        ideal
+        for ideal in abelian_ideals(rs)
+        if not any(
+            is_abelian(MonomialIdeal((*ideal.roots, r)), rs)
+            for r in extension_candidates(ideal, rs)
+        )
+    ]
+    assert len(maximal) == long_simple_roots(family, rank)
+
+
+@pytest.mark.parametrize("family,rank", NARAYANA_SYSTEMS)
+def test_ideals_by_minimal_roots_are_w_narayana_numbers(family, rank):
+    rs = system(family, rank)
+
+    def minimal_roots(ideal):
+        members = set(ideal.roots)
+        return sum(
+            all(tuple(c - (i == j) for i, c in enumerate(r)) not in members for j in range(rank))
+            for r in ideal.roots
+        )
+
+    counts = [0] * (rank + 1)
+    counts[0] = 1  # the zero ideal
+    for ideal in enumerate_nilradical_ideals(rs):
+        counts[minimal_roots(ideal)] += 1
+    assert counts == [w_narayana(family, rank, k) for k in range(rank + 1)]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 7), ("B", 5), ("C", 5), ("D", 6)])
+def test_lower_covers_in_the_lattice_are_w_narayana_numbers(family, rank, capsys):
+    lattice = cli_json(["lattice", family, str(rank)], capsys)["lattice"]
+    below = [0] * len(lattice["nodes"])
+    for _, larger in lattice["edges"]:
+        below[larger] += 1
+    assert [below.count(k) for k in range(rank + 1)] == [
+        w_narayana(family, rank, k) for k in range(rank + 1)
+    ]

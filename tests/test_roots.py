@@ -4,6 +4,7 @@ import pytest
 
 from borelideals import (
     InvalidInputError,
+    StructuralError,
     cartan_matrix,
     coroot_pairing,
     dynkin_description,
@@ -15,7 +16,8 @@ from borelideals import (
     root_sort_key,
     root_vector_str,
 )
-from borelideals.roots import MAX_COEFFICIENT
+from borelideals import cli, roots
+from borelideals.roots import MAX_COEFFICIENT, positive_root_count
 from conftest import system
 
 # Classical number of positive roots per type.
@@ -41,14 +43,68 @@ TABLE_SYSTEMS = (
 
 
 def closure_is_fixed_point(rs) -> bool:
-    """Independent pass: reflecting every root once more must add nothing."""
+    """Independent pass: reflecting every root once more must add nothing.
+
+    <r, alpha_j^v> is the sum of c_i * cartan[i][j], so the pairings are
+    summed over the nonzero entries of the rows in r's support alone; each
+    negative one is checked against ``coroot_pairing`` and reflected.
+    """
     found = set(rs.positive_roots)
+    entries = [[(j, a) for j, a in enumerate(row) if a] for row in rs.cartan]
     for r in rs.positive_roots:
-        for j in range(rs.rank):
-            if coroot_pairing(r, j, rs.cartan) < 0:
+        pairings: dict[int, int] = {}
+        for i, c in enumerate(r):
+            for j, a in entries[i] if c else ():
+                pairings[j] = pairings.get(j, 0) + c * a
+        for j, p in pairings.items():
+            if p < 0:
+                assert coroot_pairing(r, j, rs.cartan) == p
                 if reflect_simple(r, j, rs.cartan) not in found:
                     return False
     return True
+
+
+# Large ranks, up to the command line's cap of 4096 positive roots (A90).
+LARGE_SYSTEMS = [("A", 90), ("B", 30), ("C", 30), ("D", 45)]
+
+
+def _from_epsilon(family, rank, v):
+    """Simple-root coefficients of a vector v in the epsilon basis (Bourbaki, Plates I-IV).
+
+    alpha_i = e_i - e_(i+1) for i < rank (A: for every i <= rank); the last
+    simple root is e_rank (B), 2 e_rank (C) or e_(rank-1) + e_rank (D).
+    """
+    prefix = [sum(v[: i + 1]) for i in range(len(v))]
+    if family == "A":
+        return tuple(prefix[:rank])
+    if family == "B":
+        return tuple(prefix)
+    if family == "C":
+        return (*prefix[:-1], prefix[-1] // 2)
+    # D: c_(n-1) + c_n = v_(n-1) + prefix_(n-2) and c_n - c_(n-1) = v_n
+    s = prefix[rank - 3]
+    return (*prefix[: rank - 2], (v[-2] - v[-1] + s) // 2, (v[-2] + v[-1] + s) // 2)
+
+
+def _epsilon_roots(family, rank):
+    """Positive roots from the epsilon basis: e_i - e_j and e_i + e_j (i < j), e_i (B), 2e_i (C).
+
+    A has e_i - e_j only, in dimension rank + 1.
+    """
+    dim = rank + 1 if family == "A" else rank
+
+    def e(*terms):
+        v = [0] * dim
+        for i, c in terms:
+            v[i] += c
+        return v
+
+    vectors = [e((i, 1), (j, -1)) for i in range(dim) for j in range(i + 1, dim)]
+    if family != "A":
+        vectors += [e((i, 1), (j, 1)) for i in range(dim) for j in range(i + 1, dim)]
+    if family in "BC":
+        vectors += [e((i, 1 if family == "B" else 2)) for i in range(dim)]
+    return [_from_epsilon(family, rank, v) for v in vectors]
 
 
 def test_cartan_matrix_rank2_values():
@@ -142,14 +198,79 @@ def test_positive_roots_rank2_lists():
 
 @pytest.mark.parametrize(
     "cartan",
-    [((2, -2), (-2, 2)), ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))],
-    ids=["affine-A1", "affine-A2"],
+    [
+        ((2, -2), (-2, 2)),
+        ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),
+        ((2, -1, 0), (-1, 2, -3), (0, -1, 2)),
+        ((2, -2, 0), (-1, 2, -1), (0, -2, 2)),
+        ((2, -3), (-3, 2)),
+    ],
+    ids=["affine-A1", "affine-A2", "affine-G2", "affine-C2", "hyperbolic-rank2"],
 )
 def test_generate_rejects_cartan_matrix_not_of_finite_type(cartan):
     start = time.perf_counter()
     with pytest.raises(InvalidInputError, match="not of finite type"):
         generate_positive_roots(cartan)
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [((2, -1),), ((2, -1), (-1, 3)), ((2, 1), (1, 2)), ((2, -4), (-1, 2)), ((2, -1), (0, 2))],
+    ids=["not-square", "diagonal", "positive", "below-minus-3", "one-sided-zero"],
+)
+def test_generate_rejects_malformed_cartan_matrix(cartan):
+    with pytest.raises(InvalidInputError, match="malformed Cartan matrix"):
+        generate_positive_roots(cartan)
+
+
+def test_reducible_matrix_has_no_unique_highest_root(monkeypatch):
+    # A1 x A1: both simple roots are unextendable
+    monkeypatch.setattr(roots, "cartan_matrix", lambda family, rank: ((2, 0), (0, 2)))
+    with pytest.raises(StructuralError, match="highest root is not unique"):
+        roots.root_system("A", 2)
+
+
+@pytest.mark.parametrize("family,rank", LARGE_SYSTEMS)
+def test_large_rank_counts_and_closure(family, rank):
+    rs = roots.root_system(family, rank)
+    count = {"A": rank * (rank + 1) // 2, "B": rank**2, "C": rank**2, "D": rank * (rank - 1)}
+    assert len(rs.positive_roots) == count[family] == positive_root_count(family, rank)
+    assert closure_is_fixed_point(rs)
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [*LARGE_SYSTEMS, ("A", 1), ("A", 7), ("B", 2), ("B", 5), ("C", 2), ("C", 6), ("D", 3)],
+)
+def test_roots_match_epsilon_basis_lists(family, rank):
+    expected = tuple(sorted(_epsilon_roots(family, rank), key=root_sort_key))
+    assert generate_positive_roots(cartan_matrix(family, rank)) == expected
+
+
+@pytest.mark.parametrize(
+    "argv,rows",
+    [
+        (["roots", "A", "40"], 0),
+        (["roots", "D", "24", "--format", "json"], 0),
+        (["check", "B", "20", "--set", "a1, a2, a1+a2"], 3),
+        (["check", "A", "40", "--set", "a1+a2, a2"], 2),
+        (["normalizer", "A", "40", "--set", "a1, a2, a1+a2"], 3),
+        (["centralizer", "D", "24", "--set", "a1"], 1),
+    ],
+)
+def test_queries_build_only_the_sum_rows_of_the_set(argv, rows, monkeypatch, capsys):
+    built = []
+
+    def spy(family, rank):
+        built.append(roots.root_system(family, rank))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "root_system", spy)
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out
+    (rs,) = built
+    assert len(rs._sum_masks) == rows  # built rows only; the others stay unbuilt
 
 
 @pytest.mark.parametrize("family,rank", TABLE_SYSTEMS)
@@ -162,6 +283,8 @@ def test_root_tables_match_tuple_addition(family, rank):
     for g, r in enumerate(rs.positive_roots):
         ups = [index_of_sum(r, a) for a in rs.simple_roots]
         assert rs._up_masks[g] == sum(1 << u for u in ups if u is not None)
+        downs = [index_of_sum(r, tuple(-c for c in a)) for a in rs.simple_roots]
+        assert rs._down_masks[g] == sum(1 << d for d in downs if d is not None)
         sums = [index_of_sum(r, s) for s in rs.positive_roots]
         assert rs._sum_masks[g] == sum(1 << h for h, t in enumerate(sums) if t is not None)
         assert [rs.sum_index(g, h) for h in range(len(sums))] == sums
