@@ -8,8 +8,9 @@ enumeration to output.
 
 Each handler is a generator of text chunks, written as they come.  It makes
 every check before its first chunk, so an error never follows output.  Ideal
-listings arrive one dimension layer at a time and are rendered by joining
-strings made once per command, never by encoding a whole document.
+listings arrive one dimension layer at a time, but each chunk is one line, one
+JSON entry, one DOT node or one cover, rendered from strings made once per
+command; ``_write_chunks`` alone batches them into writes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
+from itertools import chain
 
 from .errors import CapacityError, InvalidInputError
 from .ideals import (
@@ -150,15 +152,14 @@ def _json_block(value, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + " " * depth)
 
 
-def _json_list(blocks: Iterator[list[str]], depth: int) -> Iterator[str]:
-    """A list nested ``depth`` deep, one chunk per block of items rendered ``depth + 2`` deep."""
+def _json_list(items: Iterable[str], depth: int) -> Iterator[str]:
+    """A list nested ``depth`` deep, one chunk per item rendered ``depth + 2`` deep."""
     pad = "\n" + " " * (depth + 2)
-    opener = "["
-    for block in blocks:
-        if block:
-            yield opener + pad + f",{pad}".join(block)
-            opener = ","
-    yield "[]" if opener == "[" else "\n" + " " * depth + "]"
+    sep = "["
+    for item in items:
+        yield f"{sep}{pad}{item}"
+        sep = ","
+    yield "[]" if sep == "[" else "\n" + " " * depth + "]"
 
 
 def _entry_renderer(rs: RootSystem, depth: int) -> Callable[..., str]:
@@ -183,7 +184,7 @@ def _entry_renderer(rs: RootSystem, depth: int) -> Callable[..., str]:
 
 
 def _listing_document(
-    rs: RootSystem, entries: Iterator[list[str]], counts: _Counts, note: str | None = None
+    rs: RootSystem, entries: Iterable[str], counts: _Counts, note: str | None = None
 ) -> Iterator[str]:
     """JSON of an ideal listing: header, the streamed ``ideals``, then their ``counts``."""
     header = {"family": rs.family, "rank": rs.rank, "positive_roots": _vectors(rs.positive_roots)}
@@ -196,8 +197,7 @@ def _listing_document(
 
 
 def _text_lines(layers: Iterable[Iterable[int]], render: Callable[[int], str]) -> Iterator[str]:
-    for layer in layers:
-        yield "".join([f"{render(m)}\n" for m in layer])
+    return (f"{render(m)}\n" for layer in layers for m in layer)
 
 
 def _cartan_combo_ascii(vec: Iterable[int], unicode_alpha: bool = False) -> str:
@@ -241,7 +241,7 @@ def _cmd_ideals(args, rs: RootSystem) -> Iterator[str]:
     if args.format == "json":
         counts = _Counts(rs)
         entry = _entry_renderer(rs, 4)
-        entries = ([entry(m, a) for m, a in zip(layer, counts.flags(layer))] for layer in layers)
+        entries = (entry(m, a) for layer in layers for m, a in zip(layer, counts.flags(layer)))
         yield from _listing_document(rs, entries, counts)
     else:
         yield from _text_lines(layers, _mask_renderer(rs, args.unicode))
@@ -253,8 +253,10 @@ def _cmd_abelian(args, rs: RootSystem) -> Iterator[str]:
         counts = _Counts(rs)
         entry = _entry_renderer(rs, 4)
         entries = (
-            [entry(m, True) for m, a in zip(layer, counts.flags(layer)) if a]
+            entry(m, True)
             for layer in _enumerate_masks(rs)
+            for m, a in zip(layer, counts.flags(layer))
+            if a
         )
         yield from _listing_document(rs, entries, counts)
     else:
@@ -278,11 +280,12 @@ def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
         counts = _Counts(rs)
         entry = _entry_renderer(rs, 4)
 
-        def entries():
-            for layer in layers:
-                yield [entry(m, a, rest(~m & simple)) for m, a in zip(layer, counts.flags(layer))]
-
-        yield from _listing_document(rs, entries(), counts, NOTE_GENERAL_IDEALS)
+        entries = (
+            entry(m, a, rest(~m & simple))
+            for layer in layers
+            for m, a in zip(layer, counts.flags(layer))
+        )
+        yield from _listing_document(rs, entries, counts, NOTE_GENERAL_IDEALS)
         return
     u = args.unicode
 
@@ -295,8 +298,8 @@ def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
 
     render = _mask_renderer(rs, u)
     yield f"note: {NOTE_GENERAL_IDEALS}\n"
-    for layer in layers:
-        yield "".join([f"{render(m)}{suffix(~m & simple)}\n" for m in layer])
+    for m in chain.from_iterable(layers):
+        yield f"{render(m)}{suffix(~m & simple)}\n"
 
 
 def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:
@@ -304,16 +307,13 @@ def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:
     render = _mask_renderer(rs, args.unicode)
     flags = _abelian_flags(rs)
     if args.format == "dot":
-        nodes = ([(render(m), a) for m, a in zip(layer, flags(layer))] for layer in layers)
+        nodes = ((render(m), a) for layer in layers for m, a in zip(layer, flags(layer)))
         yield from _dot_chunks(nodes, _cover_edges(layers, rs), DotOptions())
     elif args.format == "json":
         entry = _entry_renderer(rs, 6)
         pad = "\n" + " " * 6
-        nodes = ([entry(m, a) for m, a in zip(layer, flags(layer))] for layer in layers)
-        edges = (
-            [f"[{pad}  {a},{pad}  {b}{pad}]" for a, b in block]
-            for block in _cover_edges(layers, rs)
-        )
+        nodes = (entry(m, a) for layer in layers for m, a in zip(layer, flags(layer)))
+        edges = (f"[{pad}  {a},{pad}  {b}{pad}]" for a, b in _cover_edges(layers, rs))
         header = json.dumps({"family": rs.family, "rank": rs.rank}, indent=2)
         yield header.removesuffix("\n}") + ',\n  "lattice": {\n    "nodes": '
         yield from _json_list(nodes, 4)
@@ -321,17 +321,16 @@ def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:
         yield from _json_list(edges, 4)
         yield "\n  }\n}\n"
     else:
-        yield f"nodes ({sum(map(len, layers))}):\n"
-        start = 0
-        for layer in layers:
-            yield "".join([f"{i}: {render(m)}\n" for i, m in enumerate(layer, start)])
-            start += len(layer)
+        count = sum(map(len, layers))
+        yield f"nodes ({count}):\n"
+        for i, m in enumerate(chain.from_iterable(layers)):
+            yield f"{i}: {render(m)}\n"
         # An ideal covers one ideal per minimal root.  Antichains of the root
         # poset counted by size are symmetric under k <-> rank - k
         # (Athanasiadis), so the covers number rank * nodes / 2.
-        yield f"edges ({rs.rank * start // 2}):\n"
-        for block in _cover_edges(layers, rs):
-            yield "".join([f"{a} -> {b}\n" for a, b in block])
+        yield f"edges ({rs.rank * count // 2}):\n"
+        for a, b in _cover_edges(layers, rs):
+            yield f"{a} -> {b}\n"
 
 
 def _cmd_normalizer(args, rs: RootSystem) -> Iterator[str]:
@@ -515,7 +514,11 @@ _WRITE_SIZE = 1 << 16
 
 
 def _write_chunks(out, chunks: Iterable[str]) -> None:
-    """Write the chunks to ``out``, joined into pieces of at least ``_WRITE_SIZE``."""
+    """Write the chunks to ``out``, joined into pieces of at least ``_WRITE_SIZE``.
+
+    This is the only batching of output: the handlers yield one line, JSON
+    entry, DOT node or cover per chunk, so the text held at once is one piece.
+    """
     pending: list[str] = []
     held = 0
     for chunk in chunks:

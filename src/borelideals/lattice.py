@@ -43,22 +43,20 @@ def build_lattice(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> IdealLatti
     layers = _layered(masks, rs)
     return IdealLattice(
         nodes=tuple(_ideal_from_mask(m, rs) for layer in layers for m in layer),
-        cover_edges=tuple(chain.from_iterable(_cover_edges(layers, rs))),
+        cover_edges=tuple(_cover_edges(layers, rs)),
         abelian=tuple(chain.from_iterable(map(_abelian_flags(rs), layers))),
     )
 
 
-def _cover_edges(
-    layers: Iterable[Sequence[int]], rs: RootSystem
-) -> Iterator[list[tuple[int, int]]]:
-    """Per node layer, its sorted (smaller-index, larger-index) covers from the layer before.
+def _cover_edges(layers: Iterable[Sequence[int]], rs: RootSystem) -> Iterator[tuple[int, int]]:
+    """The (smaller-index, larger-index) covers of the nodes, in sorted order.
 
     ``layers`` are the sorted nodes split by dimension, numbered on across
     layers.  Covers are found by deleting one minimal root at a time: an
     ideal minus a root r stays an ideal exactly when no member sits one
     simple step below r, and every nested pair with dimension gap one arises
-    this way.  The smaller index always lies in the previous layer, so the
-    blocks joined in order are sorted as a whole.
+    this way.  The smaller index always lies in the previous layer, so each
+    layer's covers, sorted, follow those of the layer before.
     """
     down = rs._down_masks
     below: dict[int, int] = {}
@@ -72,7 +70,7 @@ def _cover_edges(
                     if smaller is not None:
                         edges.append((smaller, i))
         edges.sort()
-        yield edges
+        yield from edges
         below = {mask: i for i, mask in enumerate(layer, start)}
         start += len(layer)
 
@@ -142,28 +140,21 @@ class DotOptions:
 def export_dot(lattice: IdealLattice, options: DotOptions | None = None) -> str:
     """DOT digraph of the lattice, bottom to top, byte-stable per input."""
     opts = options or DotOptions()
-    labels = [ideal_ascii(node, opts.unicode_alpha) for node in lattice.nodes]
-    return "".join(_dot_chunks([zip(labels, lattice.abelian)], [lattice.cover_edges], opts))
+    labels = (ideal_ascii(node, opts.unicode_alpha) for node in lattice.nodes)
+    return "".join(_dot_chunks(zip(labels, lattice.abelian), lattice.cover_edges, opts))
 
 
 def _dot_chunks(
-    node_layers: Iterable[Iterable[tuple[str, bool]]],
-    edge_blocks: Iterable[Iterable[tuple[int, int]]],
-    opts: DotOptions,
+    nodes: Iterable[tuple[str, bool]], edges: Iterable[tuple[int, int]], opts: DotOptions
 ) -> Iterator[str]:
-    """DOT text of a lattice, one chunk per block of (rendered label, abelian) nodes or of covers.
+    """DOT text of a lattice, one chunk per (rendered label, abelian) node and per cover.
 
-    Nodes are numbered in the order they arrive, across blocks.
+    Nodes are numbered in the order they arrive.
     """
     yield f"digraph {opts.graph_name} {{\n  rankdir=BT;\n  node [shape=box];\n"
     fill = ', style=filled, fillcolor="lightgrey"' if opts.mark_abelian else ""
-    i = 0
-    for layer in node_layers:
-        lines = []
-        for label, abelian in layer:
-            lines.append(f'  n{i} [label="{label}"{fill if abelian else ""}];\n')
-            i += 1
-        yield "".join(lines)
-    for block in edge_blocks:
-        yield "".join([f"  n{smaller} -> n{larger};\n" for smaller, larger in block])
+    for i, (label, abelian) in enumerate(nodes):
+        yield f'  n{i} [label="{label}"{fill if abelian else ""}];\n'
+    for smaller, larger in edges:
+        yield f"  n{smaller} -> n{larger};\n"
     yield "}\n"

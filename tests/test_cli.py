@@ -360,6 +360,30 @@ def test_lattice_text_streams_its_cover_edges(tmp_path):
     assert lines[at] == f"edges ({len(lines) - at - 1}):"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ideals", "A", "6", "--format", "json"],
+        ["ideals", "A", "9", "--format", "json"],
+        ["abelian", "A", "9", "--format", "json"],
+        ["classify", "A", "8", "--format", "json"],
+        ["lattice", "A", "8", "--format", "json"],
+    ],
+)
+def test_listing_memory_does_not_grow_with_the_listing(argv, tmp_path):
+    # Each chunk is one entry and only the writer batches them, so the peak
+    # does not grow from A6 to A9, whose largest layer holds 1003 ideals.
+    target = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        code = run(argv + ["--out", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2**20
+
+
 def test_json_outputs_validate_against_schema(capsys):
     for argv in (
         ["roots", "B", "2", "--format", "json"],

@@ -13,6 +13,7 @@ from borelideals import (
     export_dot,
     is_abelian,
 )
+from borelideals.cli import run
 from borelideals.ideals import _enumerate_masks
 from borelideals.lattice import _cover_edges
 from conftest import system
@@ -157,6 +158,15 @@ def test_dot_export_custom_name_and_unicode():
     assert "α" in dot
 
 
+@pytest.mark.parametrize("family,rank", [("E", 6), ("B", 4), ("A", 5), ("G", 2)])
+def test_public_dot_export_matches_the_cli(family, rank, capsys):
+    # both paths render through `_dot_chunks`, the CLI from masks layer by layer
+    rs = system(family, rank)
+    dot = export_dot(build_lattice(enumerate_nilradical_ideals(rs), rs))
+    assert run(["lattice", family, str(rank), "--format", "dot"]) == 0
+    assert capsys.readouterr().out == dot
+
+
 def test_abelian_flags_match_filter():
     rs, lattice = build("G", 2)
     for node, flag in zip(lattice.nodes, lattice.abelian):
@@ -170,5 +180,5 @@ def test_cover_count_is_rank_times_nodes_over_two(family, rank):
     # (Athanasiadis 2005); `lattice` text prints this count before the covers
     rs = system(family, rank)
     layers = list(_enumerate_masks(rs))
-    covers = sum(map(len, _cover_edges(layers, rs)))
+    covers = sum(1 for _ in _cover_edges(layers, rs))
     assert 2 * covers == rank * sum(map(len, layers))
