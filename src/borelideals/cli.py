@@ -514,10 +514,12 @@ _WRITE_SIZE = 1 << 16
 
 
 def _write_chunks(out, chunks: Iterable[str]) -> None:
-    """Write the chunks to ``out``, joined into pieces of at least ``_WRITE_SIZE``.
+    """Write the chunks to ``out`` in whole multiples of ``_WRITE_SIZE``, then the rest.
 
     This is the only batching of output: the handlers yield one line, JSON
     entry, DOT node or cover per chunk, so the text held at once is one piece.
+    The chunk that crosses a multiple of ``_WRITE_SIZE`` is split there, so on
+    ASCII output each write fills a 64 KiB pipe and a reader takes it in one read.
     """
     pending: list[str] = []
     held = 0
@@ -525,9 +527,11 @@ def _write_chunks(out, chunks: Iterable[str]) -> None:
         pending.append(chunk)
         held += len(chunk)
         if held >= _WRITE_SIZE:
+            held %= _WRITE_SIZE
+            cut = len(chunk) - held
+            pending[-1] = chunk[:cut]
             out.write("".join(pending))
-            pending.clear()
-            held = 0
+            pending[:] = [chunk[cut:]]
     out.write("".join(pending))
 
 

@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 from importlib import resources
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -382,6 +383,19 @@ def test_listing_memory_does_not_grow_with_the_listing(argv, tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 4 * 2**20
+
+
+def test_writer_writes_whole_pieces():
+    # Every write but the last is a whole multiple of _WRITE_SIZE, so a pipe
+    # of that size takes each in one go, and a reader gets it in one read.
+    chunks = [f"line {i}\n" for i in range(30000)]
+    chunks[12345] = "x" * (2 * cli._WRITE_SIZE + 5)
+    writes = []
+    cli._write_chunks(SimpleNamespace(write=writes.append), chunks)
+    assert "".join(writes) == "".join(chunks)
+    assert len(writes) > 4
+    assert all(len(w) % cli._WRITE_SIZE == 0 for w in writes[:-1])
+    assert len(writes[-1]) < cli._WRITE_SIZE
 
 
 def test_json_outputs_validate_against_schema(capsys):
