@@ -303,25 +303,24 @@ def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
 
 
 def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:
-    layers = list(_enumerate_masks(rs))
+    layers = _enumerate_masks(rs)  # the nodes; the covers, its steps, come from a second search
     render = _mask_renderer(rs, args.unicode)
     flags = _abelian_flags(rs)
+    nodes = ((m, a) for layer in layers for m, a in zip(layer, flags(layer)))
     if args.format == "dot":
-        nodes = ((render(m), a) for layer in layers for m, a in zip(layer, flags(layer)))
-        yield from _dot_chunks(nodes, _cover_edges(layers, rs), DotOptions())
+        yield from _dot_chunks(((render(m), a) for m, a in nodes), _cover_edges(rs), DotOptions())
     elif args.format == "json":
         entry = _entry_renderer(rs, 6)
         pad = "\n" + " " * 6
-        nodes = (entry(m, a) for layer in layers for m, a in zip(layer, flags(layer)))
-        edges = (f"[{pad}  {a},{pad}  {b}{pad}]" for a, b in _cover_edges(layers, rs))
+        edges = (f"[{pad}  {a},{pad}  {b}{pad}]" for a, b in _cover_edges(rs))
         header = json.dumps({"family": rs.family, "rank": rs.rank}, indent=2)
         yield header.removesuffix("\n}") + ',\n  "lattice": {\n    "nodes": '
-        yield from _json_list(nodes, 4)
+        yield from _json_list((entry(m, a) for m, a in nodes), 4)
         yield ',\n    "edges": '
         yield from _json_list(edges, 4)
         yield "\n  }\n}\n"
     else:
-        count = sum(map(len, layers))
+        count = nonzero_ideal_count(rs.family, rs.rank) + 1
         yield f"nodes ({count}):\n"
         for i, m in enumerate(chain.from_iterable(layers)):
             yield f"{i}: {render(m)}\n"
@@ -329,7 +328,7 @@ def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:
         # poset counted by size are symmetric under k <-> rank - k
         # (Athanasiadis), so the covers number rank * nodes / 2.
         yield f"edges ({rs.rank * count // 2}):\n"
-        for a, b in _cover_edges(layers, rs):
+        for a, b in _cover_edges(rs):
             yield f"{a} -> {b}\n"
 
 

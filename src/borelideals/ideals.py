@@ -49,6 +49,8 @@ class MonomialIdeal:
 
 
 ZERO_IDEAL = MonomialIdeal(())
+# Byte b to 255 minus b with its bits reversed, so that a set low bit sorts first.
+_FIRST_BIT_LOW = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def ideal_sort_key(ideal: MonomialIdeal) -> tuple:
@@ -67,11 +69,12 @@ def _sorted_masks(masks: Iterable[int], rs: RootSystem) -> list[int]:
     """Ideal masks in the order ``ideal_sort_key`` gives their ideals.
 
     Ideals of equal dimension compare like their ascending index tuples, so
-    the lowest bit in which two masks differ puts its owner first: that is
-    descending order of the masks read with their bits reversed.
+    the lowest bit in which two masks differ puts its owner first: its bytes
+    through ``_FIRST_BIT_LOW`` compare lower, and sorting by dimension keeps that.
     """
-    width = f"0{len(rs.positive_roots)}b"
-    return sorted(masks, key=lambda m: (m.bit_count(), -int(format(m, width)[::-1], 2)))
+    size, low_first = (len(rs.positive_roots) + 7) // 8, _FIRST_BIT_LOW
+    by_bits = sorted(masks, key=lambda m: m.to_bytes(size, "little").translate(low_first))
+    return sorted(by_bits, key=int.bit_count)
 
 
 def _layered(masks: Iterable[int], rs: RootSystem) -> list[list[int]]:
@@ -95,7 +98,7 @@ def _is_abelian_mask(mask: int, rs: RootSystem) -> bool:
     return all(sums[g] & mask == 0 for g in mask_indices(mask))
 
 
-def _abelian_flags(rs: RootSystem) -> Callable[[list[int]], list[bool]]:
+def _abelian_flags(rs: RootSystem) -> Callable[[Iterable[int]], list[bool]]:
     """Abelian flag of each mask of a layer, for complete layers given in rising dimension.
 
     A subset of an abelian ideal is abelian, and a nonzero ideal minus one of
@@ -104,7 +107,7 @@ def _abelian_flags(rs: RootSystem) -> Callable[[list[int]], list[bool]]:
     """
     seen = True  # whether the layer before had an abelian ideal
 
-    def flags(layer: list[int]) -> list[bool]:
+    def flags(layer: Iterable[int]) -> list[bool]:
         nonlocal seen
         out = [seen and _is_abelian_mask(m, rs) for m in layer]
         seen = any(out)
@@ -184,27 +187,28 @@ def enumerate_nilradical_ideals(rs: RootSystem) -> frozenset[MonomialIdeal]:
     return frozenset(_ideal_from_mask(m, rs) for layer in nonzero for m in layer)
 
 
-def _enumerate_masks(rs: RootSystem) -> Iterator[list[int]]:
+def _enumerate_masks(rs: RootSystem) -> Iterator[dict[int, int]]:
     """Ideal masks one dimension at a time from zero up, each layer in ``_sorted_masks`` order.
 
-    Every mask grown from a layer has one more root, so duplicates can only
-    meet inside the next layer, and the search keeps no other state.  Each
-    mask carries the roots that may join it (those outside it with every
-    simple step up inside it): adding g keeps the others and can only admit
-    roots one simple step below g.
+    A layer maps each mask to the roots that may join it (those outside it
+    with every simple step up inside it): adding g keeps the others and can
+    only admit roots one simple step below g.  Every mask grown from a layer
+    has one more root, so duplicates can only meet inside the next layer, and
+    the search keeps no other state.
     """
     up, down = rs._up_masks, rs._down_masks
-    frontier = {0: sum(1 << g for g, above in enumerate(up) if above == 0)}
-    while frontier:
-        yield _sorted_masks(frontier, rs)
+    layer = {0: sum(1 << g for g, above in enumerate(up) if above == 0)}
+    while layer:
+        layer = {mask: layer[mask] for mask in _sorted_masks(layer, rs)}
+        yield layer
         grown: dict[int, int] = {}
-        for mask, addable in frontier.items():
+        for mask, addable in layer.items():
             for g in mask_indices(addable):
                 bigger = mask | 1 << g
                 if bigger not in grown:
                     admitted = sum(1 << h for h in mask_indices(down[g]) if up[h] & ~bigger == 0)
                     grown[bigger] = addable & ~(1 << g) | admitted
-        frontier = grown
+        layer = grown
 
 
 # Largest system the subset oracle accepts: 2^20 subsets.

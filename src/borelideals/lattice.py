@@ -4,16 +4,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator
 
 from .errors import InvalidInputError
 from .ideals import (
     MonomialIdeal,
     _abelian_flags,
+    _enumerate_masks,
     _ideal_from_mask,
     _is_ideal_mask,
     _layered,
     ideal_ascii,
+    nonzero_ideal_count,
 )
 from .roots import RootSystem, mask_indices
 
@@ -33,46 +35,41 @@ class IdealLattice:
 
 
 def build_lattice(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> IdealLattice:
-    """Assemble the lattice from the complete set of nonzero monomial ideals."""
+    """Assemble the lattice from the complete set of nonzero monomial ideals.
+
+    A set that misses one raises ``InvalidInputError``: the covers are the search's steps.
+    """
     masks = {0}
     for ideal in ideals:
         mask = rs.mask_of(ideal.roots)
         if not _is_ideal_mask(mask, rs):
             raise InvalidInputError(f"not a monomial ideal: {ideal_ascii(ideal)}")
         masks.add(mask)
+    if len(masks) != nonzero_ideal_count(rs.family, rs.rank) + 1:
+        raise InvalidInputError(f"not every ideal of {rs.family}{rs.rank}: {len(masks) - 1} nonzero given")
     layers = _layered(masks, rs)
     return IdealLattice(
         nodes=tuple(_ideal_from_mask(m, rs) for layer in layers for m in layer),
-        cover_edges=tuple(_cover_edges(layers, rs)),
+        cover_edges=tuple(_cover_edges(rs)),
         abelian=tuple(chain.from_iterable(map(_abelian_flags(rs), layers))),
     )
 
 
-def _cover_edges(layers: Iterable[Sequence[int]], rs: RootSystem) -> Iterator[tuple[int, int]]:
-    """The (smaller-index, larger-index) covers of the nodes, in sorted order.
+def _cover_edges(rs: RootSystem) -> Iterator[tuple[int, int]]:
+    """The (smaller-index, larger-index) covers, numbered as the search lists the ideals.
 
-    ``layers`` are the sorted nodes split by dimension, numbered on across
-    layers.  Covers are found by deleting one minimal root at a time: an
-    ideal minus a root r stays an ideal exactly when no member sits one
-    simple step below r, and every nested pair with dimension gap one arises
-    this way.  The smaller index always lies in the previous layer, so each
-    layer's covers, sorted, follow those of the layer before.
+    Each cover I < I + g is a step of the search, g a root that may join I.
+    I + g precedes I + h in a layer when g < h (g is the lowest bit in which
+    they differ), so the covers come out sorted.
     """
-    down = rs._down_masks
-    below: dict[int, int] = {}
-    start = 0
-    for layer in layers:
-        edges = []
-        for i, mask in enumerate(layer, start):
-            for g in mask_indices(mask):
-                if down[g] & mask == 0:
-                    smaller = below.get(mask ^ 1 << g)
-                    if smaller is not None:
-                        edges.append((smaller, i))
-        edges.sort()
-        yield from edges
-        below = {mask: i for i, mask in enumerate(layer, start)}
-        start += len(layer)
+    layers = _enumerate_masks(rs)
+    layer, start = next(layers), 0
+    for above in layers:
+        index = {mask: i for i, mask in enumerate(above, start + len(layer))}
+        for i, (mask, addable) in enumerate(layer.items(), start):
+            for g in mask_indices(addable):
+                yield i, index[mask | 1 << g]
+        layer, start = above, start + len(layer)
 
 
 @dataclass(frozen=True)
@@ -110,11 +107,11 @@ class _Counts:
         self.abelian = 0
         self._flags = _abelian_flags(rs)
 
-    def flags(self, layer: list[int]) -> list[bool]:
+    def flags(self, layer: Collection[int]) -> list[bool]:
         """Abelian flag of each mask of a layer, counting the layer unless it is the zero ideal."""
         flags = self._flags(layer)
-        if layer[0]:
-            self.histogram[layer[0].bit_count()] = len(layer)
+        if dimension := next(iter(layer)).bit_count():
+            self.histogram[dimension] = len(layer)
             self.abelian += sum(flags)
         return flags
 

@@ -82,8 +82,11 @@ def coxeter_exponents(family: str, rank: int) -> tuple[int, ...]:
 
 
 def positive_root_count(family: str, rank: int) -> int:
-    """|R+| = rank * h / 2, with h the Coxeter number."""
-    return rank * (max(coxeter_exponents(family, rank)) + 1) // 2
+    """|R+| = rank * h / 2, with h the Coxeter number in closed form (no exponents built)."""
+    validate_family_rank(family, rank)
+    exceptional = _EXCEPTIONAL_EXPONENTS.get((family, rank))
+    h = exceptional[-1] + 1 if exceptional else {"A": rank + 1, "D": 2 * rank - 2}.get(family, 2 * rank)
+    return rank * h // 2
 
 
 def _chain_edges(rank: int) -> list[tuple[int, int]]:

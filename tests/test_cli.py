@@ -109,6 +109,20 @@ def test_capacity_guard_exits_3_before_any_work(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_capacity_check_runs_in_constant_memory(capsys):
+    # The Coxeter number is in closed form: no list as long as the rank is
+    # built before the request is refused.
+    tracemalloc.start()
+    try:
+        code = run(["roots", "A", "1000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "positive roots" in capsys.readouterr().err
+    assert peak < 2**20
+
+
 def test_capacity_caps_admit_a12_ideals_and_a80_roots():
     cli._check_capacity("ideals", "A", 12)  # 742899 nonzero ideals
     cli._check_capacity("roots", "A", 80)  # 3240 positive roots
@@ -369,11 +383,13 @@ def test_lattice_text_streams_its_cover_edges(tmp_path):
         ["abelian", "A", "9", "--format", "json"],
         ["classify", "A", "8", "--format", "json"],
         ["lattice", "A", "8", "--format", "json"],
+        ["lattice", "A", "10", "--format", "dot"],
     ],
 )
 def test_listing_memory_does_not_grow_with_the_listing(argv, tmp_path):
     # Each chunk is one entry and only the writer batches them, so the peak
-    # does not grow from A6 to A9, whose largest layer holds 1003 ideals.
+    # does not grow from A6 to A9, whose largest layer holds 1003 ideals.  The
+    # lattice holds no node store: its covers come from a second search.
     target = tmp_path / "out.json"
     tracemalloc.start()
     try:

@@ -371,7 +371,7 @@ def test_mask_order_matches_ideal_sort_key(family, rank):
     rs = system(family, rank)
     ideals = enumerate_nilradical_ideals(rs)
     layers = list(_enumerate_masks(rs))
-    assert layers[0] == [0]
+    assert list(layers[0]) == [0]
     assert [{m.bit_count() for m in layer} for layer in layers] == [
         {d} for d in range(len(rs.positive_roots) + 1)
     ]

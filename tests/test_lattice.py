@@ -14,7 +14,7 @@ from borelideals import (
     is_abelian,
 )
 from borelideals.cli import run
-from borelideals.ideals import _enumerate_masks
+from borelideals.ideals import nonzero_ideal_count
 from borelideals.lattice import _cover_edges
 from conftest import system
 from test_ideals import CLOSED_FORM_SYSTEMS
@@ -107,6 +107,17 @@ def test_build_lattice_rejects_non_ideal():
         build_lattice([MonomialIdeal(((1, 0),))], rs)
 
 
+def test_build_lattice_rejects_an_incomplete_set():
+    # the covers and the numbering come from the search, so they hold only
+    # for the complete set of ideals
+    rs = system("A", 2)
+    every = sorted(enumerate_nilradical_ideals(rs), key=lambda j: j.roots)
+    for missing in every:
+        with pytest.raises(InvalidInputError, match="not every ideal"):
+            build_lattice([j for j in every if j != missing], rs)
+    assert len(build_lattice([ZERO_IDEAL, *every], rs).nodes) == len(every) + 1
+
+
 def test_counts_by_dimension_values():
     a2 = system("A", 2)
     counts = counts_by_dimension(enumerate_nilradical_ideals(a2), a2)
@@ -178,7 +189,9 @@ def test_cover_count_is_rank_times_nodes_over_two(family, rank):
     # an ideal covers one ideal per minimal root, and the antichains of the
     # root poset counted by size are symmetric under k <-> rank - k
     # (Athanasiadis 2005); `lattice` text prints this count before the covers
+    # The covers are the search's steps, numbered as the nodes are listed,
+    # and come out sorted without a sort.
     rs = system(family, rank)
-    layers = list(_enumerate_masks(rs))
-    covers = sum(1 for _ in _cover_edges(layers, rs))
-    assert 2 * covers == rank * sum(map(len, layers))
+    covers = list(_cover_edges(rs))
+    assert covers == sorted(covers)
+    assert 2 * len(covers) == rank * (nonzero_ideal_count(family, rank) + 1)

@@ -231,6 +231,18 @@ def test_reducible_matrix_has_no_unique_highest_root(monkeypatch):
         roots.root_system("A", 2)
 
 
+@pytest.mark.parametrize(
+    "family,ranks",
+    [("A", range(1, 40)), ("B", range(2, 40)), ("C", range(2, 40)), ("D", range(3, 40)),
+     ("E", (6, 7, 8)), ("F", (4,)), ("G", (2,))],
+)
+def test_positive_root_count_closed_form_matches_the_exponents(family, ranks):
+    # h = n + 1, 2n, 2n, 2n - 2 for A, B, C, D is the largest exponent plus one
+    for rank in ranks:
+        h = max(roots.coxeter_exponents(family, rank)) + 1
+        assert positive_root_count(family, rank) == rank * h // 2
+
+
 @pytest.mark.parametrize("family,rank", LARGE_SYSTEMS)
 def test_large_rank_counts_and_closure(family, rank):
     rs = roots.root_system(family, rank)
