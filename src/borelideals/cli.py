@@ -9,8 +9,9 @@ enumeration to output.
 Each handler is a generator of text chunks, written as they come.  It makes
 every check before its first chunk, so an error never follows output.  Ideal
 listings arrive one dimension layer at a time, but each chunk is one line, one
-JSON entry, one DOT node or one cover, rendered from strings made once per
-command; ``_write_chunks`` alone batches them into writes.
+JSON entry, one DOT node or one cover, its roots joined a byte of the mask at
+a time from strings made once per command and byte value (``roots.mask_joiner``);
+``_write_chunks`` alone batches them into writes.  Stdout is UTF-8, as ``--out`` is.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .roots import (
     dynkin_description,
     is_root,
     mask_indices,
+    mask_joiner,
     positive_root_count,
     root_ascii,
     root_system,
@@ -163,18 +165,17 @@ def _json_list(items: Iterable[str], depth: int) -> Iterator[str]:
 
 
 def _entry_renderer(rs: RootSystem, depth: int) -> Callable[..., str]:
-    """JSON text of an ideal's entry nested ``depth`` deep, from per-root blocks made once.
+    """JSON text of an ideal's entry nested ``depth`` deep, its root blocks joined a byte at a time.
 
     The entry holds the ideal's roots, its dimension, its abelian flag and
     then ``rest``: further members, each led by a comma and a new line.
     """
     pad = "\n" + " " * depth
-    blocks = [f"{pad}    {_json_block(list(r), depth + 4)}" for r in rs.positive_roots]
+    join = mask_joiner([f",{pad}    {_json_block(list(r), depth + 4)}" for r in rs.positive_roots])
     flags = {a: f',{pad}  "abelian": {json.dumps(a)}' for a in (False, True)}
 
     def entry(mask: int, abelian: bool, rest: str = "") -> str:
-        roots = ",".join([blocks[g] for g in mask_indices(mask)])
-        roots = f"[{roots}{pad}  ]" if mask else "[]"
+        roots = f"[{join(mask)[1:]}{pad}  ]" if mask else "[]"
         return (
             f'{{{pad}  "roots": {roots},{pad}  "dimension": {mask.bit_count()}'
             f"{flags[abelian]}{rest}{pad}}}"
@@ -552,6 +553,7 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
 
 
 def main() -> None:
+    sys.stdout.reconfigure(encoding="utf-8")  # the bytes of --unicode must not follow the locale
     sys.exit(run())
 
 

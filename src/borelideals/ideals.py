@@ -32,6 +32,7 @@ from .roots import (
     coroot_pairing,
     coxeter_exponents,
     mask_indices,
+    mask_joiner,
     root_ascii,
     root_sort_key,
 )
@@ -83,11 +84,11 @@ def _layered(masks: Iterable[int], rs: RootSystem) -> list[list[int]]:
 
 
 def _mask_renderer(rs: RootSystem, unicode_alpha: bool = False) -> Callable[[int], str]:
-    """``ideal_ascii`` of the root set of a mask, joined from "X[label]" strings made once."""
-    xs = [f"X[{label}]" for label in rs.labels(unicode_alpha)]
+    """``ideal_ascii`` of the root set of a mask, its ", X[label]" pieces joined a byte at a time."""
+    join = mask_joiner([f", X[{label}]" for label in rs.labels(unicode_alpha)])
 
     def render(mask: int) -> str:
-        return "[" + ", ".join([xs[g] for g in mask_indices(mask)]) + "]" if mask else "0"
+        return f"[{join(mask)[2:]}]" if mask else "0"
 
     return render
 
@@ -195,19 +196,29 @@ def _enumerate_masks(rs: RootSystem) -> Iterator[dict[int, int]]:
     only admit roots one simple step below g.  Every mask grown from a layer
     has one more root, so duplicates can only meet inside the next layer, and
     the search keeps no other state.
+
+    The search walks each ``addable`` by its lowest set bit, and a step table
+    maps the bit of g to (bit of h, ``_up_masks[h]``) for each h one step below g.
     """
-    up, down = rs._up_masks, rs._down_masks
+    up = rs._up_masks
+    below = {1 << g: [(1 << h, up[h]) for h in mask_indices(d)] for g, d in enumerate(rs._down_masks)}
     layer = {0: sum(1 << g for g, above in enumerate(up) if above == 0)}
     while layer:
         layer = {mask: layer[mask] for mask in _sorted_masks(layer, rs)}
         yield layer
         grown: dict[int, int] = {}
         for mask, addable in layer.items():
-            for g in mask_indices(addable):
-                bigger = mask | 1 << g
+            rest = addable
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                bigger = mask | bit
                 if bigger not in grown:
-                    admitted = sum(1 << h for h in mask_indices(down[g]) if up[h] & ~bigger == 0)
-                    grown[bigger] = addable & ~(1 << g) | admitted
+                    admitted = addable ^ bit
+                    for h, above in below[bit]:
+                        if above & bigger == above:
+                            admitted |= h
+                    grown[bigger] = admitted
         layer = grown
 
 

@@ -17,7 +17,7 @@ from .ideals import (
     ideal_ascii,
     nonzero_ideal_count,
 )
-from .roots import RootSystem, mask_indices
+from .roots import RootSystem
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,10 @@ def _cover_edges(rs: RootSystem) -> Iterator[tuple[int, int]]:
     for above in layers:
         index = {mask: i for i, mask in enumerate(above, start + len(layer))}
         for i, (mask, addable) in enumerate(layer.items(), start):
-            for g in mask_indices(addable):
-                yield i, index[mask | 1 << g]
+            while addable:
+                bit = addable & -addable
+                addable ^= bit
+                yield i, index[mask | bit]
         layer, start = above, start + len(layer)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, count
 from operator import add
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidInputError, StructuralError
 
@@ -314,6 +314,32 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 def mask_indices(mask: int) -> list[int]:
     """Canonical indices of the roots in a bitmask, ascending."""
     return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+
+
+class _ByteRow(dict):
+    """Byte value b to the joined pieces of its set bits, for one slice of 8 pieces; made on first read."""
+
+    def __init__(self, pieces: Sequence[str]) -> None:
+        self._pieces = pieces
+
+    def __missing__(self, b: int) -> str:
+        text = self[b] = "".join([p for i, p in enumerate(self._pieces) if b >> i & 1])
+        return text
+
+
+def mask_joiner(pieces: Sequence[str]) -> Callable[[int], str]:
+    """``join(mask)``: the pieces of the mask's set bits, ascending, joined a byte at a time.
+
+    ``pieces[g]`` stands for bit g.  The rows fill lazily, so joining few masks builds few strings.
+    """
+    size = (len(pieces) + 7) // 8
+    rows = [_ByteRow(pieces[k : k + 8]) for k in range(0, len(pieces), 8)]
+    get = dict.__getitem__  # calls __missing__, as dict.get would not
+
+    def join(mask: int) -> str:
+        return "".join(map(get, rows, mask.to_bytes(size, "little")))
+
+    return join
 
 
 def root_system(family: str, rank: int) -> RootSystem:

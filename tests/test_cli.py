@@ -263,6 +263,18 @@ def test_out_writes_identical_bytes(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == out
 
 
+def test_unicode_stdout_is_utf8_whatever_the_locale(tmp_path):
+    # stdout must carry the bytes --out writes, even where the locale says ASCII
+    argv = [sys.executable, "-m", "borelideals.cli", "ideals", "A", "3", "--unicode"]
+    env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+    proc = subprocess.run(argv, capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    target = tmp_path / "ideals.txt"
+    assert subprocess.run([*argv, "--out", str(target)], env=env).returncode == 0
+    assert proc.stdout == target.read_bytes()
+    assert "α".encode() in proc.stdout
+
+
 def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     target = tmp_path / "no" / "such" / "dir" / "x"
     code, out, err = invoke(["ideals", "A", "2", "--out", str(target)], capsys)

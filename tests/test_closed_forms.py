@@ -11,7 +11,9 @@ code under test:
   number of lower covers, are the W-Narayana numbers (Athanasiadis 2005;
   Armstrong, *Generalized noncrossing partitions*), here for the classical
   types only;
-- the abelian ideals, zero included, number 2^rank (Peterson).
+- the abelian ideals, zero included, number 2^rank (Peterson);
+- in type A_n the ideals counted by dimension, zero included, are the
+  coefficients of the Carlitz-Riordan q-Catalan polynomial C_{n+1}(q).
 """
 
 import json
@@ -72,6 +74,20 @@ MALCEV_SYSTEMS = (
     + [("D", n) for n in range(4, 8)]
     + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 )
+
+def q_catalan(m):
+    """Coefficients of the Carlitz-Riordan C_m(q): C_0 = 1, C_{m+1} = sum_k q^((k+1)(m-k)) C_k C_{m-k}."""
+    polys = [[1]]
+    for top in range(m):
+        poly = [0] * (1 + top * (top + 1) // 2)  # C_{top+1} has degree (top+1) top / 2
+        for k in range(top + 1):
+            shift = (k + 1) * (top - k)
+            for i, a in enumerate(polys[k]):
+                for j, b in enumerate(polys[top - k]):
+                    poly[shift + i + j] += a * b
+        polys.append(poly)
+    return polys[m]
+
 
 NARAYANA_SYSTEMS = (
     [("A", n) for n in range(1, 9)]
@@ -176,3 +192,14 @@ def test_lower_covers_in_the_lattice_are_w_narayana_numbers(family, rank, capsys
     assert [below.count(k) for k in range(rank + 1)] == [
         w_narayana(family, rank, k) for k in range(rank + 1)
     ]
+
+
+@pytest.mark.parametrize("rank", range(1, 10))
+def test_ideals_by_dimension_are_the_q_catalan_coefficients(rank, capsys):
+    expected = q_catalan(rank + 1)
+    assert expected[0] == 1 and sum(expected) == ideals_module.nonzero_ideal_count("A", rank) + 1
+    expected = {d: c for d, c in enumerate(expected) if d}  # the zero ideal is not counted
+    rs = system("A", rank)
+    assert counts_by_dimension(enumerate_nilradical_ideals(rs), rs).by_dimension == expected
+    by_dimension = cli_json(["ideals", "A", str(rank)], capsys)["counts"]["by_dimension"]
+    assert by_dimension == {str(d): c for d, c in expected.items()}

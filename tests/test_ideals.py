@@ -20,7 +20,7 @@ from borelideals import (
 )
 from borelideals import ideals as ideals_module
 from borelideals.cli import run
-from borelideals.ideals import _enumerate_masks, nonzero_ideal_count
+from borelideals.ideals import _enumerate_masks, _ideal_from_mask, nonzero_ideal_count
 from borelideals.roots import positive_root_count
 from conftest import system
 
@@ -121,6 +121,21 @@ def test_extension_candidates_values():
     assert extension_candidates(MonomialIdeal(((1, 1),)), a2) == {(1, 0), (0, 1)}
     assert extension_candidates(MonomialIdeal(((1, 2),)), b2) == {(1, 1)}
     assert extension_candidates(MonomialIdeal(b2.positive_roots), b2) == frozenset()
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 6), ("B", 4), ("C", 4), ("D", 5), ("E", 6), ("F", 4), ("G", 2)]
+)
+def test_search_addable_roots_are_the_extension_candidates(family, rank):
+    # each layer maps an ideal to the roots its step table admits; they must
+    # be exactly the public extension candidates
+    rs = system(family, rank)
+    seen = 0
+    for layer in _enumerate_masks(rs):
+        for mask, addable in layer.items():
+            assert addable == rs.mask_of(extension_candidates(_ideal_from_mask(mask, rs), rs))
+        seen += len(layer)
+    assert seen == nonzero_ideal_count(family, rank) + 1
 
 
 def test_extension_candidates_rejects_non_ideal():
