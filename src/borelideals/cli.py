@@ -236,7 +236,10 @@ def _cmd_roots(args, rs: RootSystem) -> Iterator[str]:
 
 
 def _cmd_ideals(args, rs: RootSystem) -> Iterator[str]:
-    layers = iter(_layered(_brute_force_masks(rs), rs) if args.oracle else _enumerate_masks(rs))
+    if args.oracle:  # the subset filter's masks, in the search's order
+        layers = iter(_layered(sorted(_brute_force_masks(rs), key=mask_indices)))
+    else:
+        layers = _enumerate_masks(rs)
     if not args.include_zero:
         next(layers)  # the zero ideal
     if args.format == "json":

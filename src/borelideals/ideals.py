@@ -3,25 +3,27 @@
 A monomial ideal is a set of positive roots closed under addition of simple
 roots (whenever the sum is again a root); it encodes the span of the
 corresponding root vectors, which is an ideal of the Borel subalgebra
-contained in the nilradical.  Enumeration proceeds breadth-first from the
-zero ideal, adding one admissible root vector per step; a brute-force subset
-filter doubles as an independent oracle on small systems.
+contained in the nilradical.  Enumeration proceeds one dimension at a time
+from the zero ideal, making each ideal once from its canonical parent, the
+ideal without its lowest root; a brute-force subset filter doubles as an
+independent oracle on small systems.
 
 General ideals are the monomial ones enriched by a Cartan part: for a fixed
 root set, the admissible Cartan vectors are exactly those annihilated by
 every root outside the set, computed here as an exact integer kernel.
 
 Inside the package an ideal is a bitmask over the canonical root order (bit g
-stands for ``positive_roots[g]``) from enumeration through sorting, rendering
-and classification; ``MonomialIdeal`` tuples are built only where a public
+stands for ``positive_roots[g]``) from enumeration through rendering and
+classification; ``MonomialIdeal`` tuples are built only where a public
 function returns them.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import groupby, islice, takewhile
+from itertools import islice, takewhile
 from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityError, InvalidInputError
@@ -50,8 +52,6 @@ class MonomialIdeal:
 
 
 ZERO_IDEAL = MonomialIdeal(())
-# Byte b to 255 minus b with its bits reversed, so that a set low bit sorts first.
-_FIRST_BIT_LOW = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def ideal_sort_key(ideal: MonomialIdeal) -> tuple:
@@ -66,21 +66,12 @@ def ideal_ascii(ideal: MonomialIdeal, unicode_alpha: bool = False) -> str:
     return "[" + ", ".join(f"X[{root_ascii(r, unicode_alpha)}]" for r in ideal.roots) + "]"
 
 
-def _sorted_masks(masks: Iterable[int], rs: RootSystem) -> list[int]:
-    """Ideal masks in the order ``ideal_sort_key`` gives their ideals.
-
-    Ideals of equal dimension compare like their ascending index tuples, so
-    the lowest bit in which two masks differ puts its owner first: its bytes
-    through ``_FIRST_BIT_LOW`` compare lower, and sorting by dimension keeps that.
-    """
-    size, low_first = (len(rs.positive_roots) + 7) // 8, _FIRST_BIT_LOW
-    by_bits = sorted(masks, key=lambda m: m.to_bytes(size, "little").translate(low_first))
-    return sorted(by_bits, key=int.bit_count)
-
-
-def _layered(masks: Iterable[int], rs: RootSystem) -> list[list[int]]:
-    """Masks in ``_sorted_masks`` order, split into layers of equal dimension."""
-    return [list(layer) for _, layer in groupby(_sorted_masks(masks, rs), int.bit_count)]
+def _layered(masks: Iterable[int]) -> list[list[int]]:
+    """Masks split into layers of equal dimension, in rising dimension, each in input order."""
+    layers: dict[int, list[int]] = {}
+    for mask in masks:
+        layers.setdefault(mask.bit_count(), []).append(mask)
+    return [layers[d] for d in sorted(layers)]
 
 
 def _mask_renderer(rs: RootSystem, unicode_alpha: bool = False) -> Callable[[int], str]:
@@ -178,24 +169,27 @@ def nonzero_ideal_count(family: str, rank: int) -> int:
 
 
 def enumerate_nilradical_ideals(rs: RootSystem) -> frozenset[MonomialIdeal]:
-    """All nonzero monomial ideals, by breadth-first one-root extensions.
+    """All nonzero monomial ideals, by one-root extensions from the zero ideal.
 
-    Each round extends every ideal on the frontier by every admissible root
-    and deduplicates on the bitmask, so an ideal reachable along several
-    chains is produced once.  The zero ideal is not included.
+    Each ideal is made once, from its canonical parent (see ``_enumerate_masks``).
+    The zero ideal is not included.
     """
     nonzero = islice(_enumerate_masks(rs), 1, None)
     return frozenset(_ideal_from_mask(m, rs) for layer in nonzero for m in layer)
 
 
 def _enumerate_masks(rs: RootSystem) -> Iterator[dict[int, int]]:
-    """Ideal masks one dimension at a time from zero up, each layer in ``_sorted_masks`` order.
+    """Ideal masks one dimension at a time from zero up, each layer in ``ideal_sort_key`` order.
 
     A layer maps each mask to the roots that may join it (those outside it
     with every simple step up inside it): adding g keeps the others and can
-    only admit roots one simple step below g.  Every mask grown from a layer
-    has one more root, so duplicates can only meet inside the next layer, and
-    the search keeps no other state.
+    only admit roots one simple step below g.
+
+    Each nonzero ideal J is made once, from its canonical parent: J without
+    its lowest bit, a root of least height in J and so a minimal one.  So a
+    mask grows only by roots below its lowest bit, and J = I + g has the index
+    tuple (g, *I): the children grouped by g in ascending order, each group in
+    its parents' order, come out sorted.
 
     The search walks each ``addable`` by its lowest set bit, and a step table
     maps the bit of g to (bit of h, ``_up_masks[h]``) for each h one step below g.
@@ -204,22 +198,20 @@ def _enumerate_masks(rs: RootSystem) -> Iterator[dict[int, int]]:
     below = {1 << g: [(1 << h, up[h]) for h in mask_indices(d)] for g, d in enumerate(rs._down_masks)}
     layer = {0: sum(1 << g for g, above in enumerate(up) if above == 0)}
     while layer:
-        layer = {mask: layer[mask] for mask in _sorted_masks(layer, rs)}
         yield layer
-        grown: dict[int, int] = {}
+        groups: defaultdict[int, dict[int, int]] = defaultdict(dict)
         for mask, addable in layer.items():
-            rest = addable
+            rest = addable & ((mask & -mask) - 1)  # all of addable for the zero mask
             while rest:
                 bit = rest & -rest
                 rest ^= bit
                 bigger = mask | bit
-                if bigger not in grown:
-                    admitted = addable ^ bit
-                    for h, above in below[bit]:
-                        if above & bigger == above:
-                            admitted |= h
-                    grown[bigger] = admitted
-        layer = grown
+                admitted = addable ^ bit
+                for h, above in below[bit]:
+                    if above & bigger == above:
+                        admitted |= h
+                groups[bit][bigger] = admitted
+        layer = {m: a for bit in sorted(groups) for m, a in groups[bit].items()}
 
 
 # Largest system the subset oracle accepts: 2^20 subsets.

@@ -37,7 +37,7 @@ class IdealLattice:
 def build_lattice(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> IdealLattice:
     """Assemble the lattice from the complete set of nonzero monomial ideals.
 
-    A set that misses one raises ``InvalidInputError``: the covers are the search's steps.
+    A set that misses one raises ``InvalidInputError``: the nodes and covers come from the search.
     """
     masks = {0}
     for ideal in ideals:
@@ -47,7 +47,7 @@ def build_lattice(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> IdealLatti
         masks.add(mask)
     if len(masks) != nonzero_ideal_count(rs.family, rs.rank) + 1:
         raise InvalidInputError(f"not every ideal of {rs.family}{rs.rank}: {len(masks) - 1} nonzero given")
-    layers = _layered(masks, rs)
+    layers = list(_enumerate_masks(rs))
     return IdealLattice(
         nodes=tuple(_ideal_from_mask(m, rs) for layer in layers for m in layer),
         cover_edges=tuple(_cover_edges(rs)),
@@ -96,7 +96,7 @@ def counts_by_dimension(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> Dime
     without an abelian member is tested.
     """
     counts = _Counts(rs)
-    for layer in _layered({rs.mask_of(j.roots) for j in ideals} - {0}, rs):
+    for layer in _layered({rs.mask_of(j.roots) for j in ideals} - {0}):
         counts.flags(layer)
     return counts.result()
 

@@ -138,6 +138,18 @@ def test_search_addable_roots_are_the_extension_candidates(family, rank):
     assert seen == nonzero_ideal_count(family, rank) + 1
 
 
+@pytest.mark.parametrize("family,rank", [("G", 2), ("F", 4), ("E", 8), ("A", 11)])
+def test_each_ideal_is_made_once_from_its_canonical_parent(family, rank):
+    # an ideal grows only by the roots below its lowest bit: those steps make
+    # the next layer with no ideal made twice and none missed
+    rs = system(family, rank)
+    layers = list(_enumerate_masks(rs))
+    for layer, above in zip(layers, [*layers[1:], {}]):
+        steps = sum((addable & ((mask & -mask) - 1)).bit_count() for mask, addable in layer.items())
+        assert steps == len(above)
+    assert sum(map(len, layers)) == nonzero_ideal_count(family, rank) + 1
+
+
 def test_extension_candidates_rejects_non_ideal():
     a2 = system("A", 2)
     with pytest.raises(InvalidInputError):
