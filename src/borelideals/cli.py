@@ -12,6 +12,10 @@ listings arrive one dimension layer at a time, but each chunk is one line, one
 JSON entry, one DOT node or one cover, its roots joined a byte of the mask at
 a time from strings made once per command and byte value (``roots.mask_joiner``);
 ``_write_chunks`` alone batches them into writes.  Stdout is UTF-8, as ``--out`` is.
+
+Only ``errors`` and ``roots`` load with this module.  Each handler imports the
+rest of what it runs on its first line, so ``roots`` loads nothing more, the
+set queries no ``lattice`` or ``linalg``, and only ``classify`` loads ``linalg``.
 """
 
 from __future__ import annotations
@@ -26,25 +30,13 @@ import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
+from typing import TYPE_CHECKING
 
 from .errors import CapacityError, InvalidInputError
-from .ideals import (
-    NOTE_GENERAL_IDEALS,
-    _abelian_flags,
-    _abelian_masks,
-    _brute_force_masks,
-    _classification,
-    _enumerate_masks,
-    _is_abelian_mask,
-    _layered,
-    _mask_renderer,
-    is_monomial_ideal,
-    nonzero_ideal_count,
-)
-from .lattice import DotOptions, _Counts, _cover_edges, _dot_chunks
 from .roots import (
     Root,
     RootSystem,
+    _mask_renderer,
     dynkin_description,
     is_root,
     mask_indices,
@@ -53,12 +45,9 @@ from .roots import (
     root_ascii,
     root_system,
 )
-from .subalgebras import (
-    is_monomial_subalgebra,
-    monomial_centralizer,
-    monomial_normalizer,
-    monomial_subalgebra,
-)
+
+if TYPE_CHECKING:
+    from .lattice import _Counts
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -236,6 +225,9 @@ def _cmd_roots(args, rs: RootSystem) -> Iterator[str]:
 
 
 def _cmd_ideals(args, rs: RootSystem) -> Iterator[str]:
+    from .ideals import _brute_force_masks, _enumerate_masks, _layered
+    from .lattice import _Counts
+
     if args.oracle:  # the subset filter's masks, in the search's order
         layers = iter(_layered(sorted(_brute_force_masks(rs), key=mask_indices)))
     else:
@@ -252,6 +244,9 @@ def _cmd_ideals(args, rs: RootSystem) -> Iterator[str]:
 
 
 def _cmd_abelian(args, rs: RootSystem) -> Iterator[str]:
+    from .ideals import _abelian_masks, _enumerate_masks
+    from .lattice import _Counts
+
     if args.format == "json":
         # walks every layer: the counts cover all ideals
         counts = _Counts(rs)
@@ -268,6 +263,9 @@ def _cmd_abelian(args, rs: RootSystem) -> Iterator[str]:
 
 
 def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
+    from .ideals import NOTE_GENERAL_IDEALS, _classification, _enumerate_masks
+    from .lattice import _Counts
+
     simple = (1 << rs.rank) - 1  # an ideal's suffix depends on the simple roots it misses
     layers = _enumerate_masks(rs)
     if args.format == "json":
@@ -307,6 +305,9 @@ def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
 
 
 def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:
+    from .ideals import _abelian_flags, _enumerate_masks, nonzero_ideal_count
+    from .lattice import DotOptions, _cover_edges, _dot_chunks
+
     layers = _enumerate_masks(rs)  # the nodes; the covers, its steps, come from a second search
     render = _mask_renderer(rs, args.unicode)
     flags = _abelian_flags(rs)
@@ -337,6 +338,8 @@ def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:
 
 
 def _cmd_normalizer(args, rs: RootSystem) -> Iterator[str]:
+    from .subalgebras import monomial_normalizer, monomial_subalgebra
+
     sub = monomial_subalgebra(parse_root_set(args.set, rs), rs)
     result = monomial_normalizer(sub, rs)
     if args.format == "json":
@@ -352,6 +355,8 @@ def _cmd_normalizer(args, rs: RootSystem) -> Iterator[str]:
 
 
 def _cmd_centralizer(args, rs: RootSystem) -> Iterator[str]:
+    from .subalgebras import monomial_centralizer, monomial_subalgebra
+
     sub = monomial_subalgebra(parse_root_set(args.set, rs), rs)
     result = rs.mask_of(monomial_centralizer(sub, rs))
     if args.format == "json":
@@ -367,6 +372,9 @@ def _cmd_centralizer(args, rs: RootSystem) -> Iterator[str]:
 
 
 def _cmd_check(args, rs: RootSystem) -> Iterator[str]:
+    from .ideals import _is_abelian_mask, is_monomial_ideal
+    from .subalgebras import is_monomial_subalgebra
+
     roots = parse_root_set(args.set, rs)
     mask = rs.mask_of(roots)
     checks = {
@@ -463,6 +471,8 @@ def _check_capacity(command: str, family: str, rank: int) -> None:
             f"{family}{rank} has {roots} positive roots; the cap is {MAX_POSITIVE_ROOTS}"
         )
     if command in _LISTINGS:
+        from .ideals import nonzero_ideal_count
+
         ideals = nonzero_ideal_count(family, rank)
         if ideals > MAX_IDEALS:
             raise CapacityError(
@@ -489,12 +499,15 @@ def run(argv: list[str] | None = None) -> int:
             try:
                 _write_chunks(out, chunks)
                 out.flush()
-            except BrokenPipeError:
-                # The reader stopped early (``| head``).  Point stdout at
-                # devnull, so that the flush at exit does not fail again.
+            except OSError as exc:
+                # Point stdout at devnull, so that the flush at exit does not
+                # fail again.  A reader that stopped early (``| head``) is no error.
                 devnull = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, out.fileno())
                 os.close(devnull)
+                if not isinstance(exc, BrokenPipeError):
+                    print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+                    return EXIT_INVALID_INPUT
             return EXIT_OK
         try:
             _write_atomic(args.out, chunks)
@@ -542,8 +555,16 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
     """Write the chunks to a temporary file beside ``path``, then rename it onto ``path``.
 
     A run that fails, or is interrupted, leaves an existing target unchanged
-    and no truncated file behind.
+    and no truncated file behind.  A symlink is followed, so the temporary
+    file and the rename go to its target and the link stays.  An existing
+    target that is not a regular file (a FIFO, a device) is written in place,
+    as a rename would replace it.
     """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as handle:
+            _write_chunks(handle, chunks)
+        return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:

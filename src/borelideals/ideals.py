@@ -24,20 +24,21 @@ import functools
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice, takewhile
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import CapacityError, InvalidInputError
-from .linalg import IntVector, kernel_basis
 from .roots import (
     Root,
     RootSystem,
     coroot_pairing,
     coxeter_exponents,
     mask_indices,
-    mask_joiner,
     root_ascii,
     root_sort_key,
 )
+
+if TYPE_CHECKING:
+    from .linalg import IntVector
 
 
 @dataclass(frozen=True)
@@ -72,16 +73,6 @@ def _layered(masks: Iterable[int]) -> list[list[int]]:
     for mask in masks:
         layers.setdefault(mask.bit_count(), []).append(mask)
     return [layers[d] for d in sorted(layers)]
-
-
-def _mask_renderer(rs: RootSystem, unicode_alpha: bool = False) -> Callable[[int], str]:
-    """``ideal_ascii`` of the root set of a mask, its ", X[label]" pieces joined a byte at a time."""
-    join = mask_joiner([f", X[{label}]" for label in rs.labels(unicode_alpha)])
-
-    def render(mask: int) -> str:
-        return f"[{join(mask)[2:]}]" if mask else "0"
-
-    return render
 
 
 def _is_abelian_mask(mask: int, rs: RootSystem) -> bool:
@@ -280,6 +271,8 @@ def cartan_kernel(ideal: MonomialIdeal, rs: RootSystem) -> CartanKernelBasis:
     An empty complement (the ideal is the whole nilradical) yields the full
     Cartan, i.e. the identity basis.
     """
+    from .linalg import kernel_basis
+
     member = frozenset(ideal.roots)
     rows = [_pairing_row(r, rs) for r in rs.positive_roots if r not in member]
     return CartanKernelBasis(kernel_basis(rows, rs.rank))
@@ -320,6 +313,8 @@ def _classification(missing: int, rs: RootSystem) -> tuple[CartanKernelBasis, bo
     ideal (Cellini-Papi).  So there are at most 2^rank kernels.  Every root
     lies above a simple root, so only the whole nilradical misses none.
     """
+    from .linalg import kernel_basis
+
     kernel = CartanKernelBasis(kernel_basis([rs.cartan[i] for i in mask_indices(missing)], rs.rank))
     return kernel, kernel.dimension > 0 and missing != 0
 

@@ -296,15 +296,17 @@ class RootSystem:
 
     def labels(self, unicode_alpha: bool = False) -> tuple[str, ...]:
         """``root_ascii`` of every positive root, by canonical index."""
-        return self._labels[unicode_alpha]
+        return self._unicode_labels if unicode_alpha else self._ascii_labels
+
+    # Each label set is rendered on first use, so that a command renders only
+    # the one it prints, and a command that prints no root set neither.
+    @cached_property
+    def _ascii_labels(self) -> tuple[str, ...]:
+        return tuple(root_ascii(r) for r in self.positive_roots)
 
     @cached_property
-    def _labels(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        # Rendered on first use, so that commands that print no root set
-        # never pay for it.
-        return tuple(
-            tuple(root_ascii(r, u) for r in self.positive_roots) for u in (False, True)
-        )
+    def _unicode_labels(self) -> tuple[str, ...]:
+        return tuple(root_ascii(r, True) for r in self.positive_roots)
 
 
 # Binary digits to the false/true selector bytes ``compress`` reads.
@@ -340,6 +342,19 @@ def mask_joiner(pieces: Sequence[str]) -> Callable[[int], str]:
         return "".join(map(get, rows, mask.to_bytes(size, "little")))
 
     return join
+
+
+def _mask_renderer(rs: RootSystem, unicode_alpha: bool = False) -> Callable[[int], str]:
+    """Render the root set of a mask as "[X[a1], X[a1+a2]]", "0" when empty.
+
+    Its ", X[label]" pieces are joined a byte at a time (``mask_joiner``).
+    """
+    join = mask_joiner([f", X[{label}]" for label in rs.labels(unicode_alpha)])
+
+    def render(mask: int) -> str:
+        return f"[{join(mask)[2:]}]" if mask else "0"
+
+    return render
 
 
 def root_system(family: str, rank: int) -> RootSystem:

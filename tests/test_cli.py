@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -346,6 +347,90 @@ def test_out_write_failing_mid_stream_keeps_target(tmp_path, monkeypatch, capsys
     assert err == f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
     assert target.read_bytes() == b"keep\n"
     assert [p.name for p in tmp_path.iterdir()] == ["target"]
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    real = tmp_path / "real.txt"
+    real.write_bytes(b"old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to("real.txt")
+    code, out, _ = invoke(["ideals", "A", "2", "--out", str(link)], capsys)
+    assert code == 0 and out == ""
+    assert link.is_symlink() and os.readlink(link) == "real.txt"
+    assert real.read_text(encoding="utf-8") == A2_IDEALS_TEXT
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+
+def test_out_to_a_fifo_writes_in_place(tmp_path, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # The reader end opens first, without blocking, so the run's open does not
+    # block either; the output (72 bytes) fits the pipe, and a run that
+    # replaced the FIFO would leave the reader nothing.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, out, _ = invoke(["ideals", "A", "2", "--out", str(fifo)], capsys)
+        got = b"".join(iter(lambda: os.read(reader, 1 << 16), b""))
+    finally:
+        os.close(reader)
+    assert code == 0 and out == ""
+    assert got == A2_IDEALS_TEXT.encode()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+def test_out_replaces_a_regular_file_by_rename(tmp_path, capsys):
+    target = tmp_path / "target"
+    target.write_bytes(b"old\n")
+    before = os.stat(target).st_ino
+    kept = open(target, "rb")  # an open handle keeps the replaced file's bytes
+    try:
+        code, _, _ = invoke(["ideals", "A", "2", "--out", str(target)], capsys)
+        assert kept.read() == b"old\n"
+    finally:
+        kept.close()
+    assert code == 0
+    assert target.read_text(encoding="utf-8") == A2_IDEALS_TEXT
+    assert os.stat(target).st_ino != before
+    assert [p.name for p in tmp_path.iterdir()] == ["target"]
+
+
+def test_stdout_write_error_exits_2(tmp_path, monkeypatch, capsys):
+    class FullStdout:
+        """A stdout on a full disk, over a file descriptor that run() may redirect."""
+
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "fd", "w") as handle:
+        monkeypatch.setattr(sys, "stdout", FullStdout(handle.fileno()))
+        code = run(["roots", "A", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_unwritable_stdout_exits_2_quietly(tmp_path):
+    # a stdout open only for reading fails every write (EBADF), and at exit too
+    readonly = tmp_path / "readonly"
+    readonly.write_bytes(b"")
+    with open(readonly, "rb") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "borelideals.cli", "ideals", "E", "6"],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write stdout: {os.strerror(errno.EBADF)}\n".encode()
+    assert readonly.read_bytes() == b""
 
 
 def test_reader_closing_the_pipe_early_is_no_error():

@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import pytest
 
 from borelideals import (
@@ -148,6 +150,25 @@ def test_each_ideal_is_made_once_from_its_canonical_parent(family, rank):
         steps = sum((addable & ((mask & -mask) - 1)).bit_count() for mask, addable in layer.items())
         assert steps == len(above)
     assert sum(map(len, layers)) == nonzero_ideal_count(family, rank) + 1
+
+
+@pytest.mark.parametrize("family,rank", [("G", 2), ("F", 4), ("E", 8), ("A", 9)])
+def test_search_stores_each_child_once(family, rank, monkeypatch):
+    # every child the search makes goes into a per-bit group; a search that
+    # grew a mask by all of ``addable`` would store some of them twice, which
+    # the groups absorb without changing a layer
+    made = 0
+
+    class Counted(dict):
+        def __setitem__(self, mask, addable):
+            nonlocal made
+            made += 1
+            super().__setitem__(mask, addable)
+
+    monkeypatch.setattr(ideals_module, "defaultdict", lambda factory: defaultdict(Counted))
+    for _ in _enumerate_masks(system(family, rank)):
+        pass
+    assert made == nonzero_ideal_count(family, rank)
 
 
 def test_extension_candidates_rejects_non_ideal():

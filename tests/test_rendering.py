@@ -15,8 +15,8 @@ import pytest
 
 from borelideals import ideal_ascii
 from borelideals.cli import _entry_renderer
-from borelideals.ideals import _enumerate_masks, _ideal_from_mask, _mask_renderer
-from borelideals.roots import mask_joiner
+from borelideals.ideals import _enumerate_masks, _ideal_from_mask
+from borelideals.roots import _mask_renderer, mask_joiner
 from conftest import system
 
 

@@ -424,3 +424,20 @@ def test_dynkin_descriptions():
     assert dynkin_description(system("G", 2)) == "G2: a1<3=a2"
     assert dynkin_description(system("D", 4)) == "D4: a1-a2, a2-a3, a2-a4"
     assert dynkin_description(system("F", 4)) == "F4: a1-a2, a2=2>a3, a3-a4"
+
+
+def test_labels_build_only_the_set_asked_for(monkeypatch):
+    rendered = []
+
+    def counted(root, unicode_alpha=False):
+        rendered.append(unicode_alpha)
+        return root_ascii(root, unicode_alpha)
+
+    monkeypatch.setattr(roots, "root_ascii", counted)
+    rs = roots.root_system("A", 40)  # fresh: no label set built yet
+    ascii_labels = rs.labels(False)
+    assert rendered == [False] * 820  # the Unicode set stays unbuilt
+    assert rs.labels(True) == tuple(root_ascii(r, True) for r in rs.positive_roots)
+    assert rendered == [False] * 820 + [True] * 820
+    assert ascii_labels == tuple(root_ascii(r) for r in rs.positive_roots)
+    assert rs.labels(False) is ascii_labels and len(rendered) == 1640
