@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import os
@@ -183,7 +182,7 @@ def _listing_document(
     yield json.dumps(header, indent=2).removesuffix("\n}") + ',\n  "ideals": '
     yield from _json_list(entries, 2)
     # the entries have streamed past, so the counts are complete
-    yield f',\n  "counts": {_json_block(dataclasses.asdict(counts.result()), 2)}\n}}\n'
+    yield f',\n  "counts": {_json_block(counts.result()._asdict(), 2)}\n}}\n'
 
 
 def _text_lines(layers: Iterable[Iterable[int]], render: Callable[[int], str]) -> Iterator[str]:

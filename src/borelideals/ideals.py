@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import islice, takewhile
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import CapacityError, InvalidInputError
 from .roots import (
@@ -41,8 +40,7 @@ if TYPE_CHECKING:
     from .linalg import IntVector
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(NamedTuple):
     """Canonically sorted set of positive roots; the empty tuple is the zero ideal."""
 
     roots: tuple[Root, ...]
@@ -245,8 +243,7 @@ def _abelian_masks(rs: RootSystem) -> Iterator[list[int]]:
     return takewhile(bool, ([m for m, a in zip(ms, flags(ms)) if a] for ms in _enumerate_masks(rs)))
 
 
-@dataclass(frozen=True)
-class CartanKernelBasis:
+class CartanKernelBasis(NamedTuple):
     """Integer basis of the Cartan vectors annihilated by all roots outside an ideal.
 
     Each vector (c_1, ..., c_rank) stands for c_1 H[a1] + ... + c_rank H[a_rank];
@@ -285,8 +282,7 @@ NOTE_GENERAL_IDEALS = (
 )
 
 
-@dataclass(frozen=True)
-class ClassificationEntry:
+class ClassificationEntry(NamedTuple):
     ideal: MonomialIdeal
     kernel: CartanKernelBasis
     mixed: bool
@@ -296,8 +292,7 @@ class ClassificationEntry:
         return self.kernel.dimension
 
 
-@dataclass(frozen=True)
-class IdealClassification:
+class IdealClassification(NamedTuple):
     """Every monomial ideal (zero included) paired with its Cartan kernel."""
 
     entries: tuple[ClassificationEntry, ...]

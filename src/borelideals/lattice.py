@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .errors import InvalidInputError
 from .ideals import (
@@ -20,8 +19,7 @@ from .ideals import (
 from .roots import RootSystem
 
 
-@dataclass(frozen=True)
-class IdealLattice:
+class IdealLattice(NamedTuple):
     """Ideals ordered by inclusion; edges are covers (dimension gap one).
 
     ``nodes`` includes the zero ideal as the unique bottom and is sorted by
@@ -74,8 +72,7 @@ def _cover_edges(rs: RootSystem) -> Iterator[tuple[int, int]]:
         layer, start = above, start + len(layer)
 
 
-@dataclass(frozen=True)
-class DimensionCounts:
+class DimensionCounts(NamedTuple):
     """Histogram of ideal dimensions plus the totals used in reports.
 
     ``by_dimension`` covers nonzero ideals only; ``abelian_total`` includes
@@ -127,8 +124,7 @@ class _Counts:
         )
 
 
-@dataclass(frozen=True)
-class DotOptions:
+class DotOptions(NamedTuple):
     """Rendering options for DOT export; defaults give the canonical ASCII form."""
 
     graph_name: str = "ideal_lattice"

@@ -13,7 +13,6 @@ Simple-root indices are 0-based throughout the API; renderings ("a1", "a2",
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, count
 from operator import add
@@ -237,7 +236,9 @@ class _SumRows(dict):
         return row
 
 
-@dataclass(frozen=True)
+_PUBLIC_FIELDS = ("family", "rank", "cartan", "simple_roots", "positive_roots", "highest_root")
+
+
 class RootSystem:
     """An irreducible root system together with lookup tables for fast queries.
 
@@ -257,6 +258,10 @@ class RootSystem:
     A set of positive roots is a bitmask with bit g standing for
     ``positive_roots[g]``; the simple roots come first, so bit i is
     alpha_{i+1} for i < rank.
+
+    A system is read-only: assigning or deleting an attribute raises
+    ``AttributeError``.  Two systems compare, hash and print by their public
+    fields alone.
     """
 
     family: str
@@ -265,12 +270,63 @@ class RootSystem:
     simple_roots: tuple[Root, ...]
     positive_roots: tuple[Root, ...]
     highest_root: Root
-    _position: dict[Root, int] = field(compare=False, repr=False)
-    _up_masks: tuple[int, ...] = field(compare=False, repr=False)
-    _down_masks: tuple[int, ...] = field(compare=False, repr=False)
-    _sum_masks: _SumRows = field(compare=False, repr=False)
-    _keys: tuple[int, ...] = field(compare=False, repr=False)
-    _key_index: dict[int, int] = field(compare=False, repr=False)
+    _position: dict[Root, int]
+    _up_masks: tuple[int, ...]
+    _down_masks: tuple[int, ...]
+    _sum_masks: _SumRows
+    _keys: tuple[int, ...]
+    _key_index: dict[int, int]
+
+    def __init__(
+        self,
+        family: str,
+        rank: int,
+        cartan: CartanMatrix,
+        simple_roots: tuple[Root, ...],
+        positive_roots: tuple[Root, ...],
+        highest_root: Root,
+        _position: dict[Root, int],
+        _up_masks: tuple[int, ...],
+        _down_masks: tuple[int, ...],
+        _sum_masks: _SumRows,
+        _keys: tuple[int, ...],
+        _key_index: dict[int, int],
+    ) -> None:
+        self.__dict__.update(
+            family=family,
+            rank=rank,
+            cartan=cartan,
+            simple_roots=simple_roots,
+            positive_roots=positive_roots,
+            highest_root=highest_root,
+            _position=_position,
+            _up_masks=_up_masks,
+            _down_masks=_down_masks,
+            _sum_masks=_sum_masks,
+            _keys=_keys,
+            _key_index=_key_index,
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _public(self) -> tuple:
+        return tuple(getattr(self, name) for name in _PUBLIC_FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._public() == other._public()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._public())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _PUBLIC_FIELDS)
+        return f"{type(self).__qualname__}({fields})"
 
     @property
     def full_mask(self) -> int:

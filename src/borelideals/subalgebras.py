@@ -10,15 +10,13 @@ free coefficients) are outside this module's scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidInputError
 from .roots import Root, RootSystem, mask_indices, root_ascii, root_sort_key
 
 
-@dataclass(frozen=True)
-class MonomialSubalgebra:
+class MonomialSubalgebra(NamedTuple):
     """Canonically sorted set of positive roots spanning a bracket-closed space."""
 
     roots: tuple[Root, ...]

@@ -42,13 +42,16 @@ EXPORTED = {
 }
 
 # Runs ``cli.run`` on the arguments, then prints its status and the modules
-# loaded that the package's start-up might have pulled in.
+# loaded that the package's start-up might have pulled in.  ``dataclasses``
+# and ``inspect`` are watched too, so each exact module set below also
+# asserts that the command loads neither.
 LOADED = """
 import contextlib, io, json, sys
 from borelideals import cli
 with contextlib.redirect_stdout(io.StringIO()):
     status = cli.run(sys.argv[1:])
-names = [m for m in sys.modules if m.startswith("borelideals.") or m in ("fractions", "decimal")]
+watched = ("fractions", "decimal", "dataclasses", "inspect")
+names = [m for m in sys.modules if m.startswith("borelideals.") or m in watched]
 print(json.dumps([status, sorted(n.removeprefix("borelideals.") for n in names)]))
 """
 
@@ -133,4 +136,6 @@ def test_listings_other_than_classify_load_no_linear_algebra(argv):
 
 
 def test_classify_loads_linear_algebra():
-    assert {"linalg", "fractions"} <= loaded("classify", "A", "3")
+    names = loaded("classify", "A", "3")
+    assert {"linalg", "fractions"} <= names
+    assert not {"dataclasses", "inspect"} & names

@@ -1,0 +1,141 @@
+"""Value semantics of the public types: read-only, equal and hashed by value, stable repr.
+
+The result types are NamedTuples, and ``RootSystem`` is a read-only class
+that compares by its public fields; these tests pin what that keeps.
+"""
+
+import pytest
+
+from borelideals import (
+    CartanKernelBasis,
+    ClassificationEntry,
+    DimensionCounts,
+    DotOptions,
+    IdealClassification,
+    IdealLattice,
+    MonomialIdeal,
+    MonomialSubalgebra,
+    ZERO_IDEAL,
+    build_lattice,
+    cartan_kernel,
+    counts_by_dimension,
+    enumerate_nilradical_ideals,
+    full_ideal_classification,
+    monomial_subalgebra,
+    root_system,
+)
+from borelideals.ideals import NOTE_GENERAL_IDEALS
+
+A1 = root_system("A", 1)
+FULL = MonomialIdeal(((1,),))
+
+ENTRY_REPRS = (
+    "ClassificationEntry(ideal=MonomialIdeal(roots=()), kernel=CartanKernelBasis(vectors=()), mixed=False)",
+    "ClassificationEntry(ideal=MonomialIdeal(roots=((1,),)), kernel=CartanKernelBasis(vectors=((1,),)), mixed=False)",
+)
+
+# Each record type: a builder of fresh instances, an unequal instance of the
+# same type, and the repr of what the builder makes (all on A1).
+RECORDS = {
+    MonomialIdeal: (lambda: MonomialIdeal(((1,),)), ZERO_IDEAL, "MonomialIdeal(roots=((1,),))"),
+    CartanKernelBasis: (
+        lambda: cartan_kernel(FULL, A1),
+        cartan_kernel(ZERO_IDEAL, A1),
+        "CartanKernelBasis(vectors=((1,),))",
+    ),
+    ClassificationEntry: (
+        lambda: full_ideal_classification(A1).entries[1],
+        full_ideal_classification(A1).entries[0],
+        ENTRY_REPRS[1],
+    ),
+    IdealClassification: (
+        lambda: full_ideal_classification(A1),
+        IdealClassification(full_ideal_classification(A1).entries[:1]),
+        f"IdealClassification(entries=({', '.join(ENTRY_REPRS)}), note={NOTE_GENERAL_IDEALS!r})",
+    ),
+    IdealLattice: (
+        lambda: build_lattice(enumerate_nilradical_ideals(A1), A1),
+        IdealLattice((ZERO_IDEAL,), (), (True,)),
+        "IdealLattice(nodes=(MonomialIdeal(roots=()), MonomialIdeal(roots=((1,),))), "
+        "cover_edges=((0, 1),), abelian=(True, True))",
+    ),
+    DimensionCounts: (
+        lambda: counts_by_dimension(enumerate_nilradical_ideals(A1), A1),
+        DimensionCounts({}, 0, 1, 1),
+        "DimensionCounts(by_dimension={1: 1}, nonzero_total=1, with_zero_total=2, abelian_total=2)",
+    ),
+    DotOptions: (
+        DotOptions,
+        DotOptions(mark_abelian=False),
+        "DotOptions(graph_name='ideal_lattice', unicode_alpha=False, mark_abelian=True)",
+    ),
+    MonomialSubalgebra: (
+        lambda: monomial_subalgebra([(1,)], A1),
+        MonomialSubalgebra(()),
+        "MonomialSubalgebra(roots=((1,),))",
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_is_a_read_only_value(cls):
+    make, other, text = RECORDS[cls]
+    value = make()
+    assert type(value) is cls and type(other) is cls
+    assert value is not make() and value == make() and value != other
+    assert value == tuple(make())  # a NamedTuple equals the plain tuple of its fields
+    if cls is DimensionCounts:  # its histogram is a dict, as it was before
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(make())
+    assert repr(value) == text
+    with pytest.raises(AttributeError):
+        setattr(value, cls._fields[0], getattr(other, cls._fields[0]))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_record_defaults_and_properties():
+    assert DotOptions() == DotOptions("ideal_lattice", False, True)
+    entries = full_ideal_classification(A1).entries
+    assert IdealClassification(entries).note == NOTE_GENERAL_IDEALS
+    assert FULL.dimension == 1 and ZERO_IDEAL.dimension == 0
+    assert cartan_kernel(FULL, A1).dimension == 1
+    assert [e.kernel_dimension for e in entries] == [0, 1]
+    assert monomial_subalgebra([(1,)], A1).dimension == 1
+
+
+def test_root_system_compares_and_hashes_by_its_public_fields():
+    a3 = root_system("A", 3)
+    again = root_system("A", 3)
+    assert a3 is not again and a3 == again and hash(a3) == hash(again)
+    assert a3 != root_system("B", 3)
+    assert a3 != (a3.family, a3.rank, a3.cartan, a3.simple_roots, a3.positive_roots, a3.highest_root)
+    assert len({a3, again, root_system("B", 3)}) == 2
+
+
+def test_root_system_repr_shows_its_public_fields():
+    assert repr(A1) == (
+        "RootSystem(family='A', rank=1, cartan=((2,),), simple_roots=((1,),), "
+        "positive_roots=((1,),), highest_root=(1,))"
+    )
+
+
+def test_root_system_is_read_only():
+    rs = root_system("A", 3)
+    with pytest.raises(AttributeError):
+        rs.rank = 4
+    with pytest.raises(AttributeError):
+        del rs.rank
+    with pytest.raises(AttributeError):
+        rs.extra = 1
+    assert rs.rank == 3
+
+
+def test_root_system_caches_its_labels():
+    rs = root_system("A", 3)
+    assert rs.labels() is rs.labels()
+    assert rs.labels(True) is rs.labels(True)
+    assert rs.labels()[:3] == ("a1", "a2", "a3")
+    assert rs.labels(True)[3] == "α1+α2"
