@@ -14,8 +14,9 @@ a time from strings made once per command and byte value (``roots.mask_joiner``)
 ``_write_chunks`` alone batches them into writes.  Stdout is UTF-8, as ``--out`` is.
 
 Only ``errors`` and ``roots`` load with this module.  Each handler imports the
-rest of what it runs on its first line, so ``roots`` loads nothing more, the
-set queries no ``lattice`` or ``linalg``, and only ``classify`` loads ``linalg``.
+rest of what it runs on its first line, and a listing's JSON branch also
+``lattice``, so ``roots`` loads nothing more, only ``lattice`` and the JSON
+listings load ``lattice``, and only ``classify`` loads ``linalg``.
 """
 
 from __future__ import annotations
@@ -58,58 +59,37 @@ MAX_IDEALS = 1 << 20  # A12 (742899 nonzero ideals) passes, A13 (2674439) does n
 MAX_POSITIVE_ROOTS = 4096  # A90 (4095 positive roots) passes, A91 does not
 _LISTINGS = frozenset({"ideals", "abelian", "classify", "lattice"})
 
-_TERM_RE = re.compile(r"(\d*)a(\d+)")
-
-
-def _split_top_level(literal: str) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in literal:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise InvalidInputError(f"unbalanced ']' in root set: {literal}")
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise InvalidInputError(f"unbalanced '[' in root set: {literal}")
-    parts.append("".join(current))
-    return parts
+# A literal is terms joined by commas, whitespace aside.  A term runs to the
+# next comma outside brackets; it is a vector of integers, "[1,-2]", or a sum
+# of summands "2a3" (coefficient 1 elided), all in ASCII digits.
+_TERMS = re.compile(r"\[[^\[\]]*\][^,]*|[^,]+")
+_TERM = re.compile(r"\[(-?[0-9]+(?:,-?[0-9]+)*)\]|(?:[0-9]*a[0-9]+\+)*[0-9]*a[0-9]+")
+_SUMMAND = re.compile(r"([0-9]*)a([0-9]+)")
 
 
 def _parse_term(term: str, rs: RootSystem) -> Root:
-    if not term:
-        raise InvalidInputError("empty term in root set")
-    if term.startswith("["):
-        if not term.endswith("]"):
-            raise InvalidInputError(f"malformed vector term: {term}")
-        entries = term[1:-1].split(",")
-        try:
-            vec = tuple(int(e) for e in entries)
-        except ValueError:
-            raise InvalidInputError(f"malformed vector term: {term}") from None
+    m = _TERM.fullmatch(term)
+    if m is None:
+        raise InvalidInputError(f"malformed term: {term}")
+    vector = m[1]
+    try:
+        if vector is not None:
+            vec = tuple(map(int, vector.split(",")))
+        else:
+            summands = [(int(c or 1), int(i)) for c, i in _SUMMAND.findall(term)]
+    except ValueError:  # more digits than int() converts; no coefficient or index has them
+        raise InvalidInputError(f"malformed term: {term}") from None
+    if vector is not None:
         if len(vec) != rs.rank:
             raise InvalidInputError(
                 f"vector term {term} has length {len(vec)}, expected {rs.rank}"
             )
     else:
         coeffs = [0] * rs.rank
-        for part in term.split("+"):
-            m = _TERM_RE.fullmatch(part)
-            if m is None:
-                raise InvalidInputError(f"malformed term: {term}")
-            index = int(m.group(2))
-            if not 1 <= index <= rs.rank:
-                raise InvalidInputError(
-                    f"simple-root index out of range in term: {term}"
-                )
-            coeffs[index - 1] += int(m.group(1)) if m.group(1) else 1
+        for c, i in summands:
+            if not 1 <= i <= rs.rank:
+                raise InvalidInputError(f"simple-root index out of range in term: {term}")
+            coeffs[i - 1] += c
         vec = tuple(coeffs)
     if not is_root(vec, rs):
         raise InvalidInputError(
@@ -122,11 +102,15 @@ def parse_root_set(literal: str, rs: RootSystem) -> frozenset[Root]:
     """Parse "a2, a1+2a2" or "[0,1], [1,2]" into a set of positive roots.
 
     Whitespace is ignored; every term must name a positive root of ``rs``.
+    The work is linear in the length of the literal.
     """
     compact = "".join(literal.split())
     if not compact:
         raise InvalidInputError("empty root set")
-    return frozenset(_parse_term(term, rs) for term in _split_top_level(compact))
+    terms = _TERMS.findall(compact)
+    if ",".join(terms) != compact:  # every term ends at a comma, so only an empty one is skipped
+        raise InvalidInputError("empty term in root set")
+    return frozenset(_parse_term(term, rs) for term in terms)
 
 
 def _vectors(roots: Iterable[Root]) -> list[list[int]]:
@@ -225,7 +209,6 @@ def _cmd_roots(args, rs: RootSystem) -> Iterator[str]:
 
 def _cmd_ideals(args, rs: RootSystem) -> Iterator[str]:
     from .ideals import _brute_force_masks, _enumerate_masks, _layered
-    from .lattice import _Counts
 
     if args.oracle:  # the subset filter's masks, in the search's order
         layers = iter(_layered(sorted(_brute_force_masks(rs), key=mask_indices)))
@@ -234,6 +217,8 @@ def _cmd_ideals(args, rs: RootSystem) -> Iterator[str]:
     if not args.include_zero:
         next(layers)  # the zero ideal
     if args.format == "json":
+        from .lattice import _Counts
+
         counts = _Counts(rs)
         entry = _entry_renderer(rs, 4)
         entries = (entry(m, a) for layer in layers for m, a in zip(layer, counts.flags(layer)))
@@ -244,9 +229,10 @@ def _cmd_ideals(args, rs: RootSystem) -> Iterator[str]:
 
 def _cmd_abelian(args, rs: RootSystem) -> Iterator[str]:
     from .ideals import _abelian_masks, _enumerate_masks
-    from .lattice import _Counts
 
     if args.format == "json":
+        from .lattice import _Counts
+
         # walks every layer: the counts cover all ideals
         counts = _Counts(rs)
         entry = _entry_renderer(rs, 4)
@@ -263,11 +249,11 @@ def _cmd_abelian(args, rs: RootSystem) -> Iterator[str]:
 
 def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
     from .ideals import NOTE_GENERAL_IDEALS, _classification, _enumerate_masks
-    from .lattice import _Counts
 
     simple = (1 << rs.rank) - 1  # an ideal's suffix depends on the simple roots it misses
     layers = _enumerate_masks(rs)
     if args.format == "json":
+        from .lattice import _Counts
 
         @functools.cache
         def rest(missing: int) -> str:
@@ -336,49 +322,42 @@ def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:
             yield f"{a} -> {b}\n"
 
 
-def _cmd_normalizer(args, rs: RootSystem) -> Iterator[str]:
-    from .subalgebras import monomial_normalizer, monomial_subalgebra
-
-    sub = monomial_subalgebra(parse_root_set(args.set, rs), rs)
-    result = monomial_normalizer(sub, rs)
+def _set_answer(args, rs: RootSystem, name: str, mask: int, result: int) -> Iterator[str]:
     if args.format == "json":
         doc = {
             "family": rs.family,
             "rank": rs.rank,
-            "set": _vectors(sub.roots),
-            "normalizer": _vectors(result.roots),
-        }
-        yield json.dumps(doc, indent=2) + "\n"
-    else:
-        yield _mask_renderer(rs, args.unicode)(rs.mask_of(result.roots)) + "\n"
-
-
-def _cmd_centralizer(args, rs: RootSystem) -> Iterator[str]:
-    from .subalgebras import monomial_centralizer, monomial_subalgebra
-
-    sub = monomial_subalgebra(parse_root_set(args.set, rs), rs)
-    result = rs.mask_of(monomial_centralizer(sub, rs))
-    if args.format == "json":
-        doc = {
-            "family": rs.family,
-            "rank": rs.rank,
-            "set": _vectors(sub.roots),
-            "centralizer": _mask_vectors(result, rs),
+            "set": _mask_vectors(mask, rs),
+            name: _mask_vectors(result, rs),
         }
         yield json.dumps(doc, indent=2) + "\n"
     else:
         yield _mask_renderer(rs, args.unicode)(result) + "\n"
 
 
-def _cmd_check(args, rs: RootSystem) -> Iterator[str]:
-    from .ideals import _is_abelian_mask, is_monomial_ideal
-    from .subalgebras import is_monomial_subalgebra
+def _cmd_normalizer(args, rs: RootSystem) -> Iterator[str]:
+    from .subalgebras import _closed
 
-    roots = parse_root_set(args.set, rs)
-    mask = rs.mask_of(roots)
+    mask = rs.mask_of(parse_root_set(args.set, rs))
+    yield from _set_answer(args, rs, "normalizer", mask, rs.full_mask & ~_closed(mask, rs))
+
+
+def _cmd_centralizer(args, rs: RootSystem) -> Iterator[str]:
+    from .subalgebras import _closed, _touched
+
+    mask = rs.mask_of(parse_root_set(args.set, rs))
+    _closed(mask, rs)
+    yield from _set_answer(args, rs, "centralizer", mask, rs.full_mask & ~_touched(mask, rs))
+
+
+def _cmd_check(args, rs: RootSystem) -> Iterator[str]:
+    from .ideals import _is_abelian_mask, _is_ideal_mask
+    from .subalgebras import _leaving
+
+    mask = rs.mask_of(parse_root_set(args.set, rs))
     checks = {
-        "is_monomial_ideal": is_monomial_ideal(roots, rs),
-        "is_monomial_subalgebra": is_monomial_subalgebra(roots, rs),
+        "is_monomial_ideal": _is_ideal_mask(mask, rs),
+        "is_monomial_subalgebra": _leaving(mask, rs) & mask == 0,
         "is_abelian_set": _is_abelian_mask(mask, rs),
     }
     if args.format == "json":
@@ -493,7 +472,7 @@ def run(argv: list[str] | None = None) -> int:
         _check_capacity(args.command, args.family, args.rank)
         rs = root_system(args.family, args.rank)
         chunks = _HANDLERS[args.command](args, rs)
-        if not args.out:
+        if args.out is None:
             out = sys.stdout
             try:
                 _write_chunks(out, chunks)

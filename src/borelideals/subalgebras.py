@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidInputError
-from .roots import Root, RootSystem, mask_indices, root_ascii, root_sort_key
+from .roots import Root, RootSystem, mask_indices, root_ascii
 
 
 class MonomialSubalgebra(NamedTuple):
@@ -38,6 +38,27 @@ def _leaving(mask: int, rs: RootSystem) -> int:
     return out
 
 
+def _closed(mask: int, rs: RootSystem) -> int:
+    """``_leaving(mask)``, once the mask is checked closed under root addition."""
+    leaving = _leaving(mask, rs)
+    if leaving & mask:
+        labels = [root_ascii(rs.positive_roots[g]) for g in mask_indices(mask)]
+        raise InvalidInputError(f"not closed under root addition: {labels}")
+    return leaving
+
+
+def _touched(mask: int, rs: RootSystem) -> int:
+    """Bitmask of the roots r with r + s a root, for some member s: the members' sum rows."""
+    touched = 0
+    for h in mask_indices(mask):
+        touched |= rs._sum_masks[h]  # symmetric: bit g of row h is bit h of row g
+    return touched
+
+
+def _roots(mask: int, rs: RootSystem) -> tuple[Root, ...]:
+    return tuple(rs.positive_roots[g] for g in mask_indices(mask))
+
+
 def is_monomial_subalgebra(roots: Iterable[Root], rs: RootSystem) -> bool:
     """Closure test: r + s in R+ implies r + s in the set, for members r, s."""
     mask = rs.mask_of(roots)
@@ -45,13 +66,10 @@ def is_monomial_subalgebra(roots: Iterable[Root], rs: RootSystem) -> bool:
 
 
 def monomial_subalgebra(roots: Iterable[Root], rs: RootSystem) -> MonomialSubalgebra:
-    """Validate closure and canonicalize the root order."""
-    unique = set(roots)
-    if not is_monomial_subalgebra(unique, rs):
-        raise InvalidInputError(
-            f"not closed under root addition: {[root_ascii(r) for r in sorted(unique, key=root_sort_key)]}"
-        )
-    return MonomialSubalgebra(tuple(sorted(unique, key=root_sort_key)))
+    """Validate closure; the roots come out in canonical order."""
+    mask = rs.mask_of(roots)
+    _closed(mask, rs)
+    return MonomialSubalgebra(_roots(mask, rs))
 
 
 def monomial_normalizer(sub: MonomialSubalgebra, rs: RootSystem) -> MonomialSubalgebra:
@@ -60,8 +78,7 @@ def monomial_normalizer(sub: MonomialSubalgebra, rs: RootSystem) -> MonomialSuba
     This is the normalizer of the span inside the nilradical; it always
     contains the input and is itself a monomial subalgebra.
     """
-    keep = rs.full_mask & ~_leaving(rs.mask_of(sub.roots), rs)
-    return MonomialSubalgebra(tuple(rs.positive_roots[g] for g in mask_indices(keep)))
+    return MonomialSubalgebra(_roots(rs.full_mask & ~_leaving(rs.mask_of(sub.roots), rs), rs))
 
 
 def monomial_centralizer(sub: MonomialSubalgebra, rs: RootSystem) -> frozenset[Root]:
@@ -72,7 +89,4 @@ def monomial_centralizer(sub: MonomialSubalgebra, rs: RootSystem) -> frozenset[R
     test cannot certify that the centralizer is bracket-closed, so callers
     wanting a subalgebra should run ``is_monomial_subalgebra`` on it.
     """
-    touched = 0
-    for h in mask_indices(rs.mask_of(sub.roots)):
-        touched |= rs._sum_masks[h]  # symmetric: bit g of row h is bit h of row g
-    return frozenset(rs.positive_roots[g] for g in mask_indices(rs.full_mask & ~touched))
+    return frozenset(_roots(rs.full_mask & ~_touched(rs.mask_of(sub.roots), rs), rs))

@@ -215,6 +215,23 @@ def test_normalizer_text(capsys):
     assert out == "[X[a2], X[a1+2a2]]\n"
 
 
+def test_normalizer_makes_one_closure_pass(monkeypatch, capsys):
+    from borelideals import subalgebras
+
+    leaving = subalgebras._leaving
+    calls = []
+
+    def counted(mask, rs):
+        calls.append(mask)
+        return leaving(mask, rs)
+
+    monkeypatch.setattr(subalgebras, "_leaving", counted)
+    code, out, _ = invoke(["normalizer", "B", "2", "--set", "a2"], capsys)
+    assert code == 0
+    assert out == "[X[a2], X[a1+2a2]]\n"
+    assert calls == [0b10]  # the set is checked closed and answered in one pass
+
+
 def test_centralizer_text(capsys):
     code, out, _ = invoke(["centralizer", "A", "2", "--set", "a1+a2"], capsys)
     assert code == 0
@@ -289,6 +306,15 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot write") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_empty_path_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(["roots", "A", "2", "--out", ""], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 
@@ -585,12 +611,30 @@ def test_parse_root_set_values():
         "a1+a1", "", "a1+", "b2", "[1", "[1,2", "a1,,a2", "[1,2,3]", "a9", "x",
         # These pack to the root keys of a2, a1 and a1+a2.
         "[16,0]", "[17,-1]", "[-15,2]",
+        # Digits are ASCII, and a vector entry has at most a minus sign.
+        "a\u0661", "[\u0661,1]", "[0_1,1]", "[+1,1]",
+        "[1,1]a1", "a1[0,1]", "[[1,1]]", "[]", ",a1", "a1,",
+        # More digits than int() converts.
+        pytest.param("a" + "0" * 5000 + "1", id="long-sum"),
+        pytest.param("[" + "0" * 5000 + "1,0]", id="long-vector"),
     ],
 )
-def test_parse_root_set_rejects_bad_literals(literal):
+def test_parse_root_set_rejects_bad_literals(literal, capsys):
     a2 = system("A", 2)
     with pytest.raises(InvalidInputError):
         parse_root_set(literal, a2)
+    code, out, err = invoke(["check", "A", "2", "--set", literal], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_parse_root_set_is_linear_on_a_megabyte_literal():
+    rs = system("A", 40)
+    labels = ", ".join(rs.labels())  # every positive root, 45 KB
+    literal = ", ".join([labels] * (2**20 // len(labels) + 1))
+    start = time.perf_counter()
+    assert parse_root_set(literal, rs) == set(rs.positive_roots)
+    assert time.perf_counter() - start < 5  # generous: a linear parse takes well under a second
 
 
 def test_parse_root_set_echoes_offending_term():
