@@ -14,9 +14,8 @@ a time from strings made once per command and byte value (``roots.mask_joiner``)
 ``_write_chunks`` alone batches them into writes.  Stdout is UTF-8, as ``--out`` is.
 
 Only ``errors`` and ``roots`` load with this module.  Each handler imports the
-rest of what it runs on its first line, and a listing's JSON branch also
-``lattice``, so ``roots`` loads nothing more, only ``lattice`` and the JSON
-listings load ``lattice``, and only ``classify`` loads ``linalg``.
+rest of what it runs on its first line, so ``roots`` loads nothing more, only
+``lattice`` loads ``lattice``, and only ``classify`` loads ``linalg``.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from .roots import (
 )
 
 if TYPE_CHECKING:
-    from .lattice import _Counts
+    from .ideals import _Counts
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -208,7 +207,7 @@ def _cmd_roots(args, rs: RootSystem) -> Iterator[str]:
 
 
 def _cmd_ideals(args, rs: RootSystem) -> Iterator[str]:
-    from .ideals import _brute_force_masks, _enumerate_masks, _layered
+    from .ideals import _brute_force_masks, _Counts, _enumerate_masks, _layered
 
     if args.oracle:  # the subset filter's masks, in the search's order
         layers = iter(_layered(sorted(_brute_force_masks(rs), key=mask_indices)))
@@ -217,8 +216,6 @@ def _cmd_ideals(args, rs: RootSystem) -> Iterator[str]:
     if not args.include_zero:
         next(layers)  # the zero ideal
     if args.format == "json":
-        from .lattice import _Counts
-
         counts = _Counts(rs)
         entry = _entry_renderer(rs, 4)
         entries = (entry(m, a) for layer in layers for m, a in zip(layer, counts.flags(layer)))
@@ -228,11 +225,9 @@ def _cmd_ideals(args, rs: RootSystem) -> Iterator[str]:
 
 
 def _cmd_abelian(args, rs: RootSystem) -> Iterator[str]:
-    from .ideals import _abelian_masks, _enumerate_masks
+    from .ideals import _abelian_masks, _Counts, _enumerate_masks
 
     if args.format == "json":
-        from .lattice import _Counts
-
         # walks every layer: the counts cover all ideals
         counts = _Counts(rs)
         entry = _entry_renderer(rs, 4)
@@ -248,13 +243,11 @@ def _cmd_abelian(args, rs: RootSystem) -> Iterator[str]:
 
 
 def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
-    from .ideals import NOTE_GENERAL_IDEALS, _classification, _enumerate_masks
+    from .ideals import NOTE_GENERAL_IDEALS, _classification, _Counts, _enumerate_masks
 
     simple = (1 << rs.rank) - 1  # an ideal's suffix depends on the simple roots it misses
     layers = _enumerate_masks(rs)
     if args.format == "json":
-        from .lattice import _Counts
-
         @functools.cache
         def rest(missing: int) -> str:
             kernel, mixed = _classification(missing, rs)
@@ -290,12 +283,12 @@ def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
 
 
 def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:
-    from .ideals import _abelian_flags, _enumerate_masks, nonzero_ideal_count
+    from .ideals import _Counts, _enumerate_masks, nonzero_ideal_count
     from .lattice import DotOptions, _cover_edges, _dot_chunks
 
     layers = _enumerate_masks(rs)  # the nodes; the covers, its steps, come from a second search
     render = _mask_renderer(rs, args.unicode)
-    flags = _abelian_flags(rs)
+    flags = _Counts(rs).flags
     nodes = ((m, a) for layer in layers for m, a in zip(layer, flags(layer)))
     if args.format == "dot":
         yield from _dot_chunks(((render(m), a) for m, a in nodes), _cover_edges(rs), DotOptions())

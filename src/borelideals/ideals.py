@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 from itertools import islice, takewhile
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, NamedTuple
 
 from .errors import CapacityError, InvalidInputError
 from .roots import (
@@ -79,22 +79,51 @@ def _is_abelian_mask(mask: int, rs: RootSystem) -> bool:
     return all(sums[g] & mask == 0 for g in mask_indices(mask))
 
 
-def _abelian_flags(rs: RootSystem) -> Callable[[Iterable[int]], list[bool]]:
-    """Abelian flag of each mask of a layer, for complete layers given in rising dimension.
+class DimensionCounts(NamedTuple):
+    """Histogram of ideal dimensions plus the totals used in reports.
+
+    ``by_dimension`` covers nonzero ideals only; ``abelian_total`` includes
+    the zero ideal (which is abelian by convention).
+    """
+
+    by_dimension: dict[int, int]
+    nonzero_total: int
+    with_zero_total: int
+    abelian_total: int
+
+
+class _Counts:
+    """Abelian flags and ``DimensionCounts`` of complete ideal layers, fed in rising dimension.
 
     A subset of an abelian ideal is abelian, and a nonzero ideal minus one of
     its minimal roots is an ideal one dimension lower; so no layer after the
     first without an abelian ideal has one, and its flags are False untested.
     """
-    seen = True  # whether the layer before had an abelian ideal
 
-    def flags(layer: Iterable[int]) -> list[bool]:
-        nonlocal seen
-        out = [seen and _is_abelian_mask(m, rs) for m in layer]
-        seen = any(out)
-        return out
+    def __init__(self, rs: RootSystem) -> None:
+        self.rs = rs
+        self.histogram: dict[int, int] = {}
+        self.abelian = 0
+        self.seen = True  # whether the layer before had an abelian ideal
 
-    return flags
+    def flags(self, layer: Collection[int]) -> list[bool]:
+        """Abelian flag of each mask of a layer, counting the layer unless it is the zero ideal."""
+        seen, rs = self.seen, self.rs
+        flags = [seen and _is_abelian_mask(m, rs) for m in layer]
+        self.seen = any(flags)
+        if dimension := next(iter(layer)).bit_count():
+            self.histogram[dimension] = len(layer)
+            self.abelian += sum(flags)
+        return flags
+
+    def result(self) -> DimensionCounts:
+        nonzero = sum(self.histogram.values())
+        return DimensionCounts(
+            by_dimension=dict(sorted(self.histogram.items())),
+            nonzero_total=nonzero,
+            with_zero_total=nonzero + 1,
+            abelian_total=1 + self.abelian,
+        )
 
 
 def _ideal_from_mask(mask: int, rs: RootSystem) -> MonomialIdeal:
@@ -237,9 +266,9 @@ def abelian_ideals(rs: RootSystem) -> tuple[MonomialIdeal, ...]:
 def _abelian_masks(rs: RootSystem) -> Iterator[list[int]]:
     """Abelian ideal masks a layer at a time, zero first, up to the last layer that has one.
 
-    No later layer has one (see ``_abelian_flags``), so the search stops there.
+    No later layer has one (see ``_Counts``), so the search stops there.
     """
-    flags = _abelian_flags(rs)
+    flags = _Counts(rs).flags
     return takewhile(bool, ([m for m, a in zip(ms, flags(ms)) if a] for ms in _enumerate_masks(rs)))
 
 

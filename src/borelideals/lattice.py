@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import re
 from itertools import chain
-from typing import Collection, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidInputError
 from .ideals import (
+    DimensionCounts,
     MonomialIdeal,
-    _abelian_flags,
+    _Counts,
     _enumerate_masks,
     _ideal_from_mask,
     _is_ideal_mask,
@@ -49,7 +51,7 @@ def build_lattice(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> IdealLatti
     return IdealLattice(
         nodes=tuple(_ideal_from_mask(m, rs) for layer in layers for m in layer),
         cover_edges=tuple(_cover_edges(rs)),
-        abelian=tuple(chain.from_iterable(map(_abelian_flags(rs), layers))),
+        abelian=tuple(chain.from_iterable(map(_Counts(rs).flags, layers))),
     )
 
 
@@ -72,19 +74,6 @@ def _cover_edges(rs: RootSystem) -> Iterator[tuple[int, int]]:
         layer, start = above, start + len(layer)
 
 
-class DimensionCounts(NamedTuple):
-    """Histogram of ideal dimensions plus the totals used in reports.
-
-    ``by_dimension`` covers nonzero ideals only; ``abelian_total`` includes
-    the zero ideal (which is abelian by convention).
-    """
-
-    by_dimension: dict[int, int]
-    nonzero_total: int
-    with_zero_total: int
-    abelian_total: int
-
-
 def counts_by_dimension(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> DimensionCounts:
     """Count nonzero ideals per dimension, totals with/without zero, and abelian.
 
@@ -98,32 +87,6 @@ def counts_by_dimension(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> Dime
     return counts.result()
 
 
-class _Counts:
-    """``DimensionCounts`` tallied from complete ideal layers, fed in rising dimension."""
-
-    def __init__(self, rs: RootSystem) -> None:
-        self.histogram: dict[int, int] = {}
-        self.abelian = 0
-        self._flags = _abelian_flags(rs)
-
-    def flags(self, layer: Collection[int]) -> list[bool]:
-        """Abelian flag of each mask of a layer, counting the layer unless it is the zero ideal."""
-        flags = self._flags(layer)
-        if dimension := next(iter(layer)).bit_count():
-            self.histogram[dimension] = len(layer)
-            self.abelian += sum(flags)
-        return flags
-
-    def result(self) -> DimensionCounts:
-        nonzero = sum(self.histogram.values())
-        return DimensionCounts(
-            by_dimension=dict(sorted(self.histogram.items())),
-            nonzero_total=nonzero,
-            with_zero_total=nonzero + 1,
-            abelian_total=1 + self.abelian,
-        )
-
-
 class DotOptions(NamedTuple):
     """Rendering options for DOT export; defaults give the canonical ASCII form."""
 
@@ -132,9 +95,15 @@ class DotOptions(NamedTuple):
     mark_abelian: bool = True
 
 
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}  # in any letter case
+
+
 def export_dot(lattice: IdealLattice, options: DotOptions | None = None) -> str:
-    """DOT digraph of the lattice, bottom to top, byte-stable per input."""
+    """DOT digraph of the lattice, bottom to top, byte-stable per input; the graph name is an unquoted ID."""
     opts = options or DotOptions()
+    name = opts.graph_name
+    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name.lower() in _DOT_KEYWORDS:
+        raise InvalidInputError(f"graph name is not a DOT identifier: {name!r}")
     labels = (ideal_ascii(node, opts.unicode_alpha) for node in lattice.nodes)
     return "".join(_dot_chunks(zip(labels, lattice.abelian), lattice.cover_edges, opts))
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InvalidInputError
@@ -34,13 +34,9 @@ def rref(rows: Sequence[Sequence[Fraction]], width: int) -> tuple[list[list[Frac
 
 def _primitive(vec: Sequence[Fraction]) -> IntVector:
     """Scale a rational vector to coprime integers with positive leading entry."""
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in vec))
     ints = [int(x * denom) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     lead = next((v for v in ints if v != 0), 0)
@@ -55,18 +51,21 @@ def kernel_basis(rows: Sequence[Sequence[int]], width: int) -> tuple[IntVector, 
     The result is normalized: basis vectors are the rows of a reduced
     row-echelon matrix, cleared to coprime integers with positive leading
     entries.  An empty row list yields the identity basis (the full space).
+
+    One reduction of the rows with their columns reversed gives it: the null
+    vector of a free column f is then 1 at f, 0 at the other free columns and
+    nonzero only after f, so with f ascending these are the reduced rows.
     """
     for row in rows:
         if len(row) != width:
             raise InvalidInputError(f"row of length {len(row)} in width-{width} matrix")
-    reduced, pivots = rref([[Fraction(x) for x in row] for row in rows], width)
-    free_cols = [c for c in range(width) if c not in pivots]
-    vectors: list[list[Fraction]] = []
-    for f in free_cols:
-        v = [Fraction(0)] * width
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
-        vectors.append(v)
-    normal, _ = rref(vectors, width)
-    return tuple(_primitive(v) for v in normal)
+    reduced, pivots = rref([row[::-1] for row in rows], width)
+    vectors: list[IntVector] = []
+    for f in reversed(range(width)):  # reversed columns: the free ones ascending
+        if f not in pivots:
+            v: list[int | Fraction] = [0] * width
+            v[f] = 1
+            for row, c in zip(reduced, pivots):
+                v[c] = -row[f]
+            vectors.append(_primitive(v[::-1]))
+    return tuple(vectors)

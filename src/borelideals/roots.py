@@ -242,15 +242,16 @@ _PUBLIC_FIELDS = ("family", "rank", "cartan", "simple_roots", "positive_roots", 
 class RootSystem:
     """An irreducible root system together with lookup tables for fast queries.
 
-    ``positive_roots`` is in canonical order; ``simple_roots`` are the unit
-    vectors in index order.  The private fields are derived lookup structures:
-    ``_position`` maps a root to its index in canonical order, ``_up_masks[g]``
-    is the bitmask (over canonical indices) of roots of the form
-    ``positive_roots[g] + alpha_j``, and ``_sum_masks[g]`` the bitmask of
-    roots h with ``positive_roots[g] + positive_roots[h]`` again a root.
-    Each ``_sum_masks`` row is built on its first read, so a query pays only
-    for the rows of the roots it holds.  ``_down_masks[g]`` is the converse of
-    ``_up_masks``.
+    ``RootSystem(family, rank)`` builds the system of a simple type and
+    validates its structure.  ``positive_roots`` is in canonical order;
+    ``simple_roots`` are the unit vectors in index order.  The private fields
+    are derived lookup structures: ``_position`` maps a root to its index in
+    canonical order, ``_up_masks[g]`` is the bitmask (over canonical indices)
+    of roots of the form ``positive_roots[g] + alpha_j``, and ``_sum_masks[g]``
+    the bitmask of roots h with ``positive_roots[g] + positive_roots[h]`` again
+    a root.  Each ``_sum_masks`` row is built on its first read, so a query
+    pays only for the rows of the roots it holds.  ``_down_masks[g]`` is the
+    converse of ``_up_masks``.
     ``_keys[g]`` packs ``positive_roots[g]`` into ``_KEY_BITS``-bit fields, so
     adding keys adds roots; ``sum_index`` looks sums up in ``_key_index``.  A
     key made from an outside tuple could alias a root: input uses ``_position``.
@@ -277,34 +278,32 @@ class RootSystem:
     _keys: tuple[int, ...]
     _key_index: dict[int, int]
 
-    def __init__(
-        self,
-        family: str,
-        rank: int,
-        cartan: CartanMatrix,
-        simple_roots: tuple[Root, ...],
-        positive_roots: tuple[Root, ...],
-        highest_root: Root,
-        _position: dict[Root, int],
-        _up_masks: tuple[int, ...],
-        _down_masks: tuple[int, ...],
-        _sum_masks: _SumRows,
-        _keys: tuple[int, ...],
-        _key_index: dict[int, int],
-    ) -> None:
+    def __init__(self, family: str, rank: int) -> None:
+        cm = cartan_matrix(family, rank)
+        positive, key_index, up_masks, down_masks = _climb(cm)
+        keys = tuple(key_index)  # the index holds the keys in canonical order
+
+        # Every root of greatest height is unextendable, so a single unextendable
+        # root is the unique highest root.
+        unextendable = [r for r, up in zip(positive, up_masks) if up == 0]
+        if len(unextendable) != 1:
+            raise StructuralError(
+                f"{family}{rank}: highest root is not unique; generated system is not irreducible"
+            )
+
         self.__dict__.update(
             family=family,
             rank=rank,
-            cartan=cartan,
-            simple_roots=simple_roots,
-            positive_roots=positive_roots,
-            highest_root=highest_root,
-            _position=_position,
-            _up_masks=_up_masks,
-            _down_masks=_down_masks,
-            _sum_masks=_sum_masks,
-            _keys=_keys,
-            _key_index=_key_index,
+            cartan=cm,
+            simple_roots=positive[:rank],
+            positive_roots=positive,
+            highest_root=unextendable[0],
+            _position={r: g for g, r in enumerate(positive)},
+            _up_masks=tuple(up_masks),
+            _down_masks=tuple(down_masks),
+            _sum_masks=_SumRows(keys, key_index),
+            _keys=keys,
+            _key_index=key_index,
         )
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -415,32 +414,7 @@ def _mask_renderer(rs: RootSystem, unicode_alpha: bool = False) -> Callable[[int
 
 def root_system(family: str, rank: int) -> RootSystem:
     """Build the root system for a simple type, validating its structure."""
-    cm = cartan_matrix(family, rank)
-    positive, key_index, up_masks, down_masks = _climb(cm)
-    keys = tuple(key_index)  # the index holds the keys in canonical order
-
-    # Every root of greatest height is unextendable, so a single unextendable
-    # root is the unique highest root.
-    unextendable = [r for r, up in zip(positive, up_masks) if up == 0]
-    if len(unextendable) != 1:
-        raise StructuralError(
-            f"{family}{rank}: highest root is not unique; generated system is not irreducible"
-        )
-
-    return RootSystem(
-        family=family,
-        rank=rank,
-        cartan=cm,
-        simple_roots=positive[:rank],
-        positive_roots=positive,
-        highest_root=unextendable[0],
-        _position={r: g for g, r in enumerate(positive)},
-        _up_masks=tuple(up_masks),
-        _down_masks=tuple(down_masks),
-        _sum_masks=_SumRows(keys, key_index),
-        _keys=keys,
-        _key_index=key_index,
-    )
+    return RootSystem(family, rank)
 
 
 def is_root(candidate: Root, rs: RootSystem) -> bool:

@@ -1,4 +1,5 @@
 from collections import defaultdict
+from math import gcd
 
 import pytest
 
@@ -22,7 +23,12 @@ from borelideals import (
 )
 from borelideals import ideals as ideals_module
 from borelideals.cli import run
-from borelideals.ideals import _enumerate_masks, _ideal_from_mask, nonzero_ideal_count
+from borelideals.ideals import (
+    _classification,
+    _enumerate_masks,
+    _ideal_from_mask,
+    nonzero_ideal_count,
+)
 from borelideals.roots import positive_root_count
 from conftest import system
 
@@ -364,6 +370,35 @@ def test_cartan_kernel_annihilates_complement_exactly(family, rank):
                     )
                     == 0
                 )
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 9), ("B", 7), ("C", 7), ("D", 8), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
+)
+def test_kernels_satisfy_their_defining_equations(family, rank):
+    # Checked in integers, without ``linalg``.  A Cartan matrix is invertible,
+    # so the rows of the missing set M are independent and the kernel has
+    # dimension rank - |M|; vectors in echelon form are independent, so
+    # rank - |M| of them annihilated by those rows span it.
+    rs = system(family, rank)
+    for missing in range(1 << rank):
+        rows = [rs.cartan[i] for i in range(rank) if missing >> i & 1]
+        kernel, mixed = _classification(missing, rs)
+        vectors = kernel.vectors
+        assert len(vectors) == rank - len(rows)
+        assert mixed == (0 < missing < (1 << rank) - 1)
+        pivots = []
+        for vec in vectors:
+            assert len(vec) == rank and all(type(c) is int for c in vec)
+            assert all(sum(a * c for a, c in zip(row, vec)) == 0 for row in rows)
+            assert gcd(*vec) == 1
+            pivot = next(j for j, c in enumerate(vec) if c)
+            assert vec[pivot] > 0
+            pivots.append(pivot)
+        assert all(a < b for a, b in zip(pivots, pivots[1:]))
+        for vec, own in zip(vectors, pivots):
+            assert all(vec[p] == 0 for p in pivots if p != own)
 
 
 def test_classification_a2():

@@ -167,6 +167,17 @@ def test_dot_export_custom_name_and_unicode():
     dot = export_dot(lattice, DotOptions(graph_name="g", unicode_alpha=True))
     assert dot.startswith("digraph g {")
     assert "α" in dot
+    assert export_dot(lattice, DotOptions(graph_name="_G2")).startswith("digraph _G2 {")
+
+
+@pytest.mark.parametrize(
+    "name", ["my graph", 'my graph"; x', "", "2nd", "ideal_lattice\n", "graph", "Node"]
+)
+def test_dot_export_rejects_a_graph_name_that_is_not_an_unquoted_id(name):
+    # a space or a quote would end the name early; a keyword is no name at all
+    rs, lattice = build("A", 1)
+    with pytest.raises(InvalidInputError, match="not a DOT identifier"):
+        export_dot(lattice, DotOptions(graph_name=name))
 
 
 @pytest.mark.parametrize("family,rank", [("E", 6), ("B", 4), ("A", 5), ("G", 2)])

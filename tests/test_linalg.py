@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from borelideals import InvalidInputError
 from borelideals.linalg import kernel_basis, rref
@@ -95,3 +96,27 @@ def test_kernel_basis_rows_are_reduced_echelon():
 def test_row_width_mismatch_rejected():
     with pytest.raises(InvalidInputError):
         kernel_basis([(1, 2, 3)], 2)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Rows of a small integer matrix and its width; zero and repeated rows come up often."""
+    width = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
+    return draw(st.lists(row, max_size=7)), width
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_kernel_basis_on_random_matrices(matrix):
+    rows, width = matrix
+    basis = kernel_basis(rows, width)
+    assert len(basis) == width - rank_by_elimination(rows, width)
+    for vec in basis:
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+    # the basis is already reduced: re-reducing it gives each row back, scaled to a leading 1
+    reduced, _ = rref(basis, width)
+    assert len(reduced) == len(basis)
+    for vec, row in zip(basis, reduced):
+        lead = next(x for x in vec if x)
+        assert row == [Fraction(x, lead) for x in vec]

@@ -132,8 +132,8 @@ def test_set_queries_load_no_lattice_or_linear_algebra(argv, ideals):
     ids=lambda argv: "-".join(argv),
 )
 def test_listings_other_than_classify_load_no_linear_algebra(argv):
-    # a text listing other than the lattice keeps no counts, so it loads no lattice
-    lattice = argv[0] == "lattice" or "json" in argv
+    # the counts of a JSON listing are kept by ``ideals``, so only the lattice loads ``lattice``
+    lattice = argv[0] == "lattice"
     assert loaded(*argv) == {"cli", "errors", "roots", "ideals"} | ({"lattice"} if lattice else set())
 
 

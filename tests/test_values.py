@@ -13,8 +13,10 @@ from borelideals import (
     DotOptions,
     IdealClassification,
     IdealLattice,
+    InvalidInputError,
     MonomialIdeal,
     MonomialSubalgebra,
+    RootSystem,
     ZERO_IDEAL,
     build_lattice,
     cartan_kernel,
@@ -113,6 +115,22 @@ def test_root_system_compares_and_hashes_by_its_public_fields():
     assert a3 != root_system("B", 3)
     assert a3 != (a3.family, a3.rank, a3.cartan, a3.simple_roots, a3.positive_roots, a3.highest_root)
     assert len({a3, again, root_system("B", 3)}) == 2
+
+
+def test_root_system_builds_its_own_tables():
+    e8 = RootSystem("E", 8)
+    assert e8 == root_system("E", 8)
+    assert e8._up_masks == root_system("E", 8)._up_masks
+
+
+@pytest.mark.parametrize("family,rank", [("H", 3), ("E", 9), ("D", 2), ("A", 0), ("G", 3)])
+def test_root_system_and_its_builder_reject_bad_input_alike(family, rank):
+    messages = []
+    for build in (RootSystem, root_system):
+        with pytest.raises(InvalidInputError) as raised:
+            build(family, rank)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
 
 
 def test_root_system_repr_shows_its_public_fields():
