@@ -29,7 +29,6 @@ from .errors import CapacityError, InvalidInputError
 from .roots import (
     Root,
     RootSystem,
-    coroot_pairing,
     coxeter_exponents,
     mask_indices,
     root_ascii,
@@ -136,6 +135,14 @@ def _is_ideal_mask(mask: int, rs: RootSystem) -> bool:
     return all(up[g] & ~mask == 0 for g in mask_indices(mask))
 
 
+def _ideal_mask(ideal: MonomialIdeal, rs: RootSystem) -> int:
+    """Bitmask of the ideal's roots; raises ``InvalidInputError`` unless they form an ideal."""
+    mask = rs.mask_of(ideal.roots)
+    if not _is_ideal_mask(mask, rs):
+        raise InvalidInputError(f"not a monomial ideal: {ideal_ascii(ideal)}")
+    return mask
+
+
 def is_monomial_ideal(roots: Iterable[Root], rs: RootSystem) -> bool:
     """Closure test: r + alpha_j in R+ implies r + alpha_j in the set."""
     return _is_ideal_mask(rs.mask_of(roots), rs)
@@ -146,11 +153,7 @@ def one_dimensional_ideals(rs: RootSystem) -> frozenset[MonomialIdeal]:
 
     For an irreducible system this is exactly the highest root.
     """
-    return frozenset(
-        MonomialIdeal((r,))
-        for g, r in enumerate(rs.positive_roots)
-        if rs._up_masks[g] == 0
-    )
+    return frozenset({MonomialIdeal((rs.highest_root,))})
 
 
 def extension_candidates(ideal: MonomialIdeal, rs: RootSystem) -> frozenset[Root]:
@@ -158,11 +161,7 @@ def extension_candidates(ideal: MonomialIdeal, rs: RootSystem) -> frozenset[Root
 
     Adjoining any one candidate yields a monomial ideal of one higher dimension.
     """
-    mask = rs.mask_of(ideal.roots)
-    if not _is_ideal_mask(mask, rs):
-        raise InvalidInputError(
-            f"not a monomial ideal: {[root_ascii(r) for r in ideal.roots]}"
-        )
+    mask = _ideal_mask(ideal, rs)
     up = rs._up_masks
     return frozenset(
         r
@@ -210,10 +209,14 @@ def _enumerate_masks(rs: RootSystem) -> Iterator[dict[int, int]]:
     its parents' order, come out sorted.
 
     The search walks each ``addable`` by its lowest set bit, and a step table
-    maps the bit of g to (bit of h, ``_up_masks[h]``) for each h one step below g.
+    maps the bit of g to (bit of h, ``_up_masks[h]``) for each h one step below
+    g, read off ``_up_masks``: the h with bit g set in ``_up_masks[h]``.
     """
     up = rs._up_masks
-    below = {1 << g: [(1 << h, up[h]) for h in mask_indices(d)] for g, d in enumerate(rs._down_masks)}
+    below: dict[int, list[tuple[int, int]]] = {1 << g: [] for g in range(len(up))}
+    for h, above in enumerate(up):
+        for g in mask_indices(above):
+            below[1 << g].append((1 << h, above))
     layer = {0: sum(1 << g for g, above in enumerate(up) if above == 0)}
     while layer:
         yield layer
@@ -287,21 +290,16 @@ class CartanKernelBasis(NamedTuple):
         return len(self.vectors)
 
 
-def _pairing_row(root: Root, rs: RootSystem) -> IntVector:
-    return tuple(coroot_pairing(root, j, rs.cartan) for j in range(rs.rank))
-
-
 def cartan_kernel(ideal: MonomialIdeal, rs: RootSystem) -> CartanKernelBasis:
     """Exact kernel of the pairing rows of all positive roots outside the ideal.
 
-    An empty complement (the ideal is the whole nilradical) yields the full
-    Cartan, i.e. the identity basis.
+    It is computed from the Cartan rows of the simple roots the ideal misses
+    (see ``_classification``).  An empty complement (the ideal is the whole
+    nilradical) yields the full Cartan, i.e. the identity basis.  A root set
+    that is not an ideal raises ``InvalidInputError``.
     """
-    from .linalg import kernel_basis
-
-    member = frozenset(ideal.roots)
-    rows = [_pairing_row(r, rs) for r in rs.positive_roots if r not in member]
-    return CartanKernelBasis(kernel_basis(rows, rs.rank))
+    simple = (1 << rs.rank) - 1
+    return _classification(~_ideal_mask(ideal, rs) & simple, rs)[0]
 
 
 NOTE_GENERAL_IDEALS = (

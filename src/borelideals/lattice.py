@@ -13,7 +13,7 @@ from .ideals import (
     _Counts,
     _enumerate_masks,
     _ideal_from_mask,
-    _is_ideal_mask,
+    _ideal_mask,
     _layered,
     ideal_ascii,
     nonzero_ideal_count,
@@ -41,10 +41,7 @@ def build_lattice(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> IdealLatti
     """
     masks = {0}
     for ideal in ideals:
-        mask = rs.mask_of(ideal.roots)
-        if not _is_ideal_mask(mask, rs):
-            raise InvalidInputError(f"not a monomial ideal: {ideal_ascii(ideal)}")
-        masks.add(mask)
+        masks.add(_ideal_mask(ideal, rs))
     if len(masks) != nonzero_ideal_count(rs.family, rs.rank) + 1:
         raise InvalidInputError(f"not every ideal of {rs.family}{rs.rank}: {len(masks) - 1} nonzero given")
     layers = list(_enumerate_masks(rs))

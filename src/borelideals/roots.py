@@ -13,7 +13,6 @@ Simple-root indices are 0-based throughout the API; renderings ("a1", "a2",
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import compress, count
 from operator import add
 from typing import Callable, Iterable, Sequence
@@ -173,8 +172,8 @@ def generate_positive_roots(cartan: CartanMatrix) -> tuple[Root, ...]:
     return _climb(cartan)[0]
 
 
-def _climb(cartan: CartanMatrix) -> tuple[tuple[Root, ...], dict[int, int], list[int], list[int]]:
-    """Positive roots in canonical order, their key index, ``_up_masks`` and ``_down_masks``.
+def _climb(cartan: CartanMatrix) -> tuple[tuple[Root, ...], dict[int, int], list[int]]:
+    """Positive roots in canonical order, their key index and ``_up_masks``.
 
     For a root r other than alpha_j, r + alpha_j is a root exactly when p >
     <r, alpha_j^v>, where p is the length of the alpha_j-string below r, r -
@@ -195,7 +194,6 @@ def _climb(cartan: CartanMatrix) -> tuple[tuple[Root, ...], dict[int, int], list
     roots: list[Root] = []
     index: dict[int, int] = {}  # key -> canonical index, filled in canonical order
     up: list[int] = []
-    down: list[int] = []
     # (root, key, pairings) of one height; the simple roots pair by their Cartan rows
     level = [(tuple(int(i == j) for i in range(rank)), units[j], cartan[j]) for j in range(rank)]
     while level:
@@ -205,22 +203,19 @@ def _climb(cartan: CartanMatrix) -> tuple[tuple[Root, ...], dict[int, int], list
             g = index[key] = len(roots)
             roots.append(r)
             up.append(0)
-            down.append(0)
             for j, unit in enumerate(units):
                 p = 0
                 while p < r[j] and key - (p + 1) * unit in index:
                     p += 1
                 if p:  # r - alpha_j is a root
-                    h = index[key - unit]
-                    up[h] |= 1 << g
-                    down[g] |= 1 << h
+                    up[index[key - unit]] |= 1 << g
                 if p > pairings[j] and key + unit not in fresh:
                     if r[j] + 1 > MAX_COEFFICIENT:
                         raise InvalidInputError("Cartan matrix is not of finite type")
                     above = r[:j] + (r[j] + 1,) + r[j + 1 :]
                     fresh[key + unit] = (above, key + unit, tuple(map(add, pairings, cartan[j])))
         level = list(fresh.values())
-    return tuple(roots), index, up, down
+    return tuple(roots), index, up
 
 
 class _SumRows(dict):
@@ -250,8 +245,7 @@ class RootSystem:
     of roots of the form ``positive_roots[g] + alpha_j``, and ``_sum_masks[g]``
     the bitmask of roots h with ``positive_roots[g] + positive_roots[h]`` again
     a root.  Each ``_sum_masks`` row is built on its first read, so a query
-    pays only for the rows of the roots it holds.  ``_down_masks[g]`` is the
-    converse of ``_up_masks``.
+    pays only for the rows of the roots it holds.
     ``_keys[g]`` packs ``positive_roots[g]`` into ``_KEY_BITS``-bit fields, so
     adding keys adds roots; ``sum_index`` looks sums up in ``_key_index``.  A
     key made from an outside tuple could alias a root: input uses ``_position``.
@@ -273,14 +267,13 @@ class RootSystem:
     highest_root: Root
     _position: dict[Root, int]
     _up_masks: tuple[int, ...]
-    _down_masks: tuple[int, ...]
     _sum_masks: _SumRows
     _keys: tuple[int, ...]
     _key_index: dict[int, int]
 
     def __init__(self, family: str, rank: int) -> None:
         cm = cartan_matrix(family, rank)
-        positive, key_index, up_masks, down_masks = _climb(cm)
+        positive, key_index, up_masks = _climb(cm)
         keys = tuple(key_index)  # the index holds the keys in canonical order
 
         # Every root of greatest height is unextendable, so a single unextendable
@@ -300,7 +293,6 @@ class RootSystem:
             highest_root=unextendable[0],
             _position={r: g for g, r in enumerate(positive)},
             _up_masks=tuple(up_masks),
-            _down_masks=tuple(down_masks),
             _sum_masks=_SumRows(keys, key_index),
             _keys=keys,
             _key_index=key_index,
@@ -332,10 +324,10 @@ class RootSystem:
         return (1 << len(self.positive_roots)) - 1
 
     def index_of(self, root: Root) -> int:
-        """Canonical index of a positive root; raises for non-roots."""
+        """Canonical index of a positive root; raises for non-roots, lists among them."""
         try:
             return self._position[root]
-        except KeyError:
+        except (KeyError, TypeError):  # a list is unhashable
             raise InvalidInputError(f"not a positive root of {self.family}{self.rank}: {root}") from None
 
     def sum_index(self, g: int, h: int) -> int | None:
@@ -350,18 +342,8 @@ class RootSystem:
         return mask
 
     def labels(self, unicode_alpha: bool = False) -> tuple[str, ...]:
-        """``root_ascii`` of every positive root, by canonical index."""
-        return self._unicode_labels if unicode_alpha else self._ascii_labels
-
-    # Each label set is rendered on first use, so that a command renders only
-    # the one it prints, and a command that prints no root set neither.
-    @cached_property
-    def _ascii_labels(self) -> tuple[str, ...]:
-        return tuple(root_ascii(r) for r in self.positive_roots)
-
-    @cached_property
-    def _unicode_labels(self) -> tuple[str, ...]:
-        return tuple(root_ascii(r, True) for r in self.positive_roots)
+        """``root_ascii`` of every positive root, by canonical index, rendered on each call."""
+        return tuple(root_ascii(r, unicode_alpha) for r in self.positive_roots)
 
 
 # Binary digits to the false/true selector bytes ``compress`` reads.
@@ -418,12 +400,15 @@ def root_system(family: str, rank: int) -> RootSystem:
 
 
 def is_root(candidate: Root, rs: RootSystem) -> bool:
-    """Whether ``candidate`` is a positive root of ``rs`` (O(1) lookup)."""
+    """Whether ``candidate`` is a positive root of ``rs`` (O(1) lookup); a list raises."""
     if len(candidate) != rs.rank:
         raise InvalidInputError(
             f"root has length {len(candidate)}, system has rank {rs.rank}"
         )
-    return candidate in rs._position
+    try:
+        return candidate in rs._position
+    except TypeError:
+        raise InvalidInputError(f"a root is a tuple of integers, got {candidate!r}") from None
 
 
 def root_ascii(root: Root, unicode_alpha: bool = False) -> str:

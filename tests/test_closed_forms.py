@@ -13,7 +13,11 @@ code under test:
   forms for the classical types, the rows of Armstrong's §5.2 for E, F, G;
 - the abelian ideals, zero included, number 2^rank (Peterson);
 - in type A_n the ideals counted by dimension, zero included, are the
-  coefficients of the Carlitz-Riordan q-Catalan polynomial C_{n+1}(q).
+  coefficients of the Carlitz-Riordan q-Catalan polynomial C_{n+1}(q);
+- the ideals that miss exactly the simple roots in M number Cat+(Phi_M), the
+  product of prod (h + e_i - 1) / (e_i + 1) over the components of the
+  Dynkin subdiagram on M (Panyushev): they are the ideals of the parabolic
+  subsystem Phi_M that hold none of its simple roots.
 
 Past the subset oracle, the search is also checked against the antichains of
 the root poset (``conftest.antichain_ideals``): each ideal is the up-closure
@@ -33,6 +37,7 @@ from borelideals import (
     counts_by_dimension,
     enumerate_nilradical_ideals,
     extension_candidates,
+    generate_positive_roots,
     is_abelian,
 )
 from borelideals import ideals as ideals_module
@@ -103,6 +108,43 @@ def q_catalan(m):
                     poly[shift + i + j] += a * b
         polys.append(poly)
     return polys[m]
+
+
+def component_exponents(rank, positives, simply_laced):
+    """Exponents of an irreducible system named by its rank, |R+| and whether it is simply laced.
+
+    |R+| = rank * h / 2 fixes the Coxeter number h; B_n and C_n share their exponents.
+    """
+    h = 2 * positives // rank
+    if not simply_laced:
+        return {(4, 12): (1, 5, 7, 11), (2, 6): (1, 5)}.get((rank, h), tuple(range(1, 2 * rank, 2)))
+    if h == rank + 1:  # A
+        return tuple(range(1, rank + 1))
+    if h == 2 * rank - 2:  # D
+        return (*range(1, 2 * rank - 2, 2), rank - 1)
+    return {6: (1, 4, 5, 7, 8, 11), 7: (1, 5, 7, 9, 11, 13, 17), 8: (1, 7, 11, 13, 17, 19, 23, 29)}[rank]
+
+
+def positive_catalan(cartan, missing):
+    """Cat+ of the parabolic subsystem on the simple roots in ``missing``: 1 when it is empty."""
+    left = {i for i in range(len(cartan)) if missing >> i & 1}
+    value = Fraction(1)
+    while left:  # one connected component of the subdiagram per pass
+        part, todo = [], [left.pop()]
+        while todo:
+            i = todo.pop()
+            part.append(i)
+            linked = {j for j in left if cartan[i][j]}
+            left -= linked
+            todo.extend(linked)
+        sub = tuple(tuple(cartan[i][j] for j in part) for i in part)
+        simply_laced = all(a >= -1 for row in sub for a in row)
+        exponents = component_exponents(len(part), len(generate_positive_roots(sub)), simply_laced)
+        h = max(exponents) + 1
+        for e in exponents:
+            value *= Fraction(h + e - 1, e + 1)
+    assert value.denominator == 1
+    return int(value)
 
 
 NARAYANA_SYSTEMS = (
@@ -228,6 +270,21 @@ def test_lower_covers_in_the_lattice_are_w_narayana_numbers(family, rank, capsys
     assert [below.count(k) for k in range(rank + 1)] == [
         w_narayana(family, rank, k) for k in range(rank + 1)
     ]
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 2), ("A", 6), ("A", 11), ("B", 2), ("B", 5), ("C", 3), ("C", 5), ("D", 4), ("D", 6)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
+)
+def test_ideals_per_missing_set_are_positive_catalan_numbers(family, rank):
+    rs = system(family, rank)
+    simple = (1 << rank) - 1
+    found = [0] * (1 << rank)
+    for layer in _enumerate_masks(rs):
+        for mask in layer:
+            found[~mask & simple] += 1
+    assert found == [positive_catalan(rs.cartan, missing) for missing in range(1 << rank)]
 
 
 @pytest.mark.parametrize("rank", range(1, 10))

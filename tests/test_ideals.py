@@ -10,6 +10,7 @@ from borelideals import (
     ZERO_IDEAL,
     abelian_ideals,
     brute_force_ideals,
+    build_lattice,
     cartan_kernel,
     coroot_pairing,
     enumerate_nilradical_ideals,
@@ -29,6 +30,7 @@ from borelideals.ideals import (
     _ideal_from_mask,
     nonzero_ideal_count,
 )
+from borelideals.linalg import kernel_basis
 from borelideals.roots import positive_root_count
 from conftest import system
 
@@ -181,6 +183,21 @@ def test_extension_candidates_rejects_non_ideal():
     a2 = system("A", 2)
     with pytest.raises(InvalidInputError):
         extension_candidates(MonomialIdeal(((1, 0),)), a2)
+
+
+def test_every_ideal_check_rejects_a_non_ideal_alike():
+    a2 = system("A", 2)
+    a1 = MonomialIdeal(((1, 0),))
+    messages = []
+    for call in (
+        lambda: cartan_kernel(a1, a2),
+        lambda: extension_candidates(a1, a2),
+        lambda: build_lattice([a1], a2),
+    ):
+        with pytest.raises(InvalidInputError) as raised:
+            call()
+        messages.append(str(raised.value))
+    assert messages == ["not a monomial ideal: [X[a1]]"] * 3
 
 
 def test_extension_preserves_ideal_property():
@@ -437,6 +454,15 @@ def test_classification_matches_per_ideal_kernels(family, rank):
         enumerate_nilradical_ideals(rs), key=ideal_sort_key
     )
     for entry in cls.entries:
+        # the kernel of every root outside the ideal, without the reduction
+        # to the simple roots it misses
+        members = set(entry.ideal.roots)
+        rows = [
+            tuple(coroot_pairing(r, j, rs.cartan) for j in range(rs.rank))
+            for r in rs.positive_roots
+            if r not in members
+        ]
+        assert entry.kernel.vectors == kernel_basis(rows, rs.rank)
         assert entry.kernel == cartan_kernel(entry.ideal, rs)
         assert entry.mixed == (
             entry.kernel_dimension > 0
