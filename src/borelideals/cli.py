@@ -12,6 +12,7 @@ listings arrive one dimension layer at a time, but each chunk is one line, one
 JSON entry, one DOT node or one cover, its roots joined a byte of the mask at
 a time from strings made once per command and byte value (``roots.mask_joiner``);
 ``_write_chunks`` alone batches them into writes.  Stdout is UTF-8, as ``--out`` is.
+Every JSON document starts from ``_json_document``, its ``family`` and ``rank`` head.
 
 Only ``errors`` and ``roots`` load with this module.  Each handler imports the
 rest of what it runs on its first line, so ``roots`` loads nothing more, only
@@ -28,7 +29,7 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain
+from itertools import chain, starmap
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError, InvalidInputError
@@ -38,7 +39,6 @@ from .roots import (
     _mask_renderer,
     dynkin_description,
     is_root,
-    mask_indices,
     mask_joiner,
     positive_root_count,
     root_ascii,
@@ -116,8 +116,9 @@ def _vectors(roots: Iterable[Root]) -> list[list[int]]:
     return [list(r) for r in roots]
 
 
-def _mask_vectors(mask: int, rs: RootSystem) -> list[list[int]]:
-    return _vectors(rs.positive_roots[g] for g in mask_indices(mask))
+def _json_document(rs: RootSystem, **members) -> str:
+    """JSON text of a document: its ``family`` and ``rank``, then ``members`` in order."""
+    return json.dumps({"family": rs.family, "rank": rs.rank, **members}, indent=2) + "\n"
 
 
 def _json_block(value, depth: int) -> str:
@@ -155,14 +156,10 @@ def _entry_renderer(rs: RootSystem, depth: int) -> Callable[..., str]:
     return entry
 
 
-def _listing_document(
-    rs: RootSystem, entries: Iterable[str], counts: _Counts, note: str | None = None
-) -> Iterator[str]:
-    """JSON of an ideal listing: header, the streamed ``ideals``, then their ``counts``."""
-    header = {"family": rs.family, "rank": rs.rank, "positive_roots": _vectors(rs.positive_roots)}
-    if note is not None:
-        header["note"] = note
-    yield json.dumps(header, indent=2).removesuffix("\n}") + ',\n  "ideals": '
+def _listing_document(rs: RootSystem, entries: Iterable[str], counts: _Counts, **members: str) -> Iterator[str]:
+    """JSON of an ideal listing: the head and ``members``, the streamed ``ideals``, their ``counts``."""
+    head = _json_document(rs, positive_roots=_vectors(rs.positive_roots), **members)
+    yield head.removesuffix("\n}\n") + ',\n  "ideals": '
     yield from _json_list(entries, 2)
     # the entries have streamed past, so the counts are complete
     yield f',\n  "counts": {_json_block(counts.result()._asdict(), 2)}\n}}\n'
@@ -188,17 +185,15 @@ def _cartan_combo_ascii(vec: Iterable[int], unicode_alpha: bool = False) -> str:
 
 def _cmd_roots(args, rs: RootSystem) -> Iterator[str]:
     if args.format == "json":
-        doc = {
-            "family": rs.family,
-            "rank": rs.rank,
-            "dynkin_diagram": dynkin_description(rs),
-            "cartan_matrix": [list(row) for row in rs.cartan],
-            "simple_roots": _vectors(rs.simple_roots),
-            "positive_roots": _vectors(rs.positive_roots),
-            "highest_root": list(rs.highest_root),
-            "counts": {"positive_roots": len(rs.positive_roots)},
-        }
-        yield json.dumps(doc, indent=2) + "\n"
+        yield _json_document(
+            rs,
+            dynkin_diagram=dynkin_description(rs),
+            cartan_matrix=_vectors(rs.cartan),
+            simple_roots=_vectors(rs.simple_roots),
+            positive_roots=_vectors(rs.positive_roots),
+            highest_root=list(rs.highest_root),
+            counts={"positive_roots": len(rs.positive_roots)},
+        )
         return
     u = args.unicode
     yield f"{dynkin_description(rs, u)}\n"
@@ -207,19 +202,14 @@ def _cmd_roots(args, rs: RootSystem) -> Iterator[str]:
 
 
 def _cmd_ideals(args, rs: RootSystem) -> Iterator[str]:
-    from .ideals import _brute_force_masks, _Counts, _enumerate_masks, _layered
+    from .ideals import _brute_force_masks, _Counts, _enumerate_masks
 
-    if args.oracle:  # the subset filter's masks, in the search's order
-        layers = iter(_layered(sorted(_brute_force_masks(rs), key=mask_indices)))
-    else:
-        layers = _enumerate_masks(rs)
+    layers = iter(_brute_force_masks(rs)) if args.oracle else _enumerate_masks(rs)
     if not args.include_zero:
         next(layers)  # the zero ideal
     if args.format == "json":
         counts = _Counts(rs)
-        entry = _entry_renderer(rs, 4)
-        entries = (entry(m, a) for layer in layers for m, a in zip(layer, counts.flags(layer)))
-        yield from _listing_document(rs, entries, counts)
+        yield from _listing_document(rs, starmap(_entry_renderer(rs, 4), counts.walk(layers)), counts)
     else:
         yield from _text_lines(layers, _mask_renderer(rs, args.unicode))
 
@@ -231,12 +221,7 @@ def _cmd_abelian(args, rs: RootSystem) -> Iterator[str]:
         # walks every layer: the counts cover all ideals
         counts = _Counts(rs)
         entry = _entry_renderer(rs, 4)
-        entries = (
-            entry(m, True)
-            for layer in _enumerate_masks(rs)
-            for m, a in zip(layer, counts.flags(layer))
-            if a
-        )
+        entries = (entry(m, True) for m, a in counts.walk(_enumerate_masks(rs)) if a)
         yield from _listing_document(rs, entries, counts)
     else:
         yield from _text_lines(_abelian_masks(rs), _mask_renderer(rs, args.unicode))
@@ -259,13 +244,8 @@ def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
 
         counts = _Counts(rs)
         entry = _entry_renderer(rs, 4)
-
-        entries = (
-            entry(m, a, rest(~m & simple))
-            for layer in layers
-            for m, a in zip(layer, counts.flags(layer))
-        )
-        yield from _listing_document(rs, entries, counts, NOTE_GENERAL_IDEALS)
+        entries = (entry(m, a, rest(~m & simple)) for m, a in counts.walk(layers))
+        yield from _listing_document(rs, entries, counts, note=NOTE_GENERAL_IDEALS)
         return
     u = args.unicode
 
@@ -288,17 +268,15 @@ def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:
 
     layers = _enumerate_masks(rs)  # the nodes; the covers, its steps, come from a second search
     render = _mask_renderer(rs, args.unicode)
-    flags = _Counts(rs).flags
-    nodes = ((m, a) for layer in layers for m, a in zip(layer, flags(layer)))
+    nodes = _Counts(rs).walk(layers)
     if args.format == "dot":
         yield from _dot_chunks(((render(m), a) for m, a in nodes), _cover_edges(rs), DotOptions())
     elif args.format == "json":
         entry = _entry_renderer(rs, 6)
         pad = "\n" + " " * 6
         edges = (f"[{pad}  {a},{pad}  {b}{pad}]" for a, b in _cover_edges(rs))
-        header = json.dumps({"family": rs.family, "rank": rs.rank}, indent=2)
-        yield header.removesuffix("\n}") + ',\n  "lattice": {\n    "nodes": '
-        yield from _json_list((entry(m, a) for m, a in nodes), 4)
+        yield _json_document(rs).removesuffix("\n}\n") + ',\n  "lattice": {\n    "nodes": '
+        yield from _json_list(starmap(entry, nodes), 4)
         yield ',\n    "edges": '
         yield from _json_list(edges, 4)
         yield "\n  }\n}\n"
@@ -317,13 +295,7 @@ def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:
 
 def _set_answer(args, rs: RootSystem, name: str, mask: int, result: int) -> Iterator[str]:
     if args.format == "json":
-        doc = {
-            "family": rs.family,
-            "rank": rs.rank,
-            "set": _mask_vectors(mask, rs),
-            name: _mask_vectors(result, rs),
-        }
-        yield json.dumps(doc, indent=2) + "\n"
+        yield _json_document(rs, set=_vectors(rs.roots_of(mask)), **{name: _vectors(rs.roots_of(result))})
     else:
         yield _mask_renderer(rs, args.unicode)(result) + "\n"
 
@@ -354,13 +326,7 @@ def _cmd_check(args, rs: RootSystem) -> Iterator[str]:
         "is_abelian_set": _is_abelian_mask(mask, rs),
     }
     if args.format == "json":
-        doc = {
-            "family": rs.family,
-            "rank": rs.rank,
-            "set": _mask_vectors(mask, rs),
-            "checks": checks,
-        }
-        yield json.dumps(doc, indent=2) + "\n"
+        yield _json_document(rs, set=_vectors(rs.roots_of(mask)), checks=checks)
         return
     yield f"set: {_mask_renderer(rs, args.unicode)(mask)}\n"
     yield f"monomial ideal: {'yes' if checks['is_monomial_ideal'] else 'no'}\n"

@@ -115,6 +115,11 @@ class _Counts:
             self.abelian += sum(flags)
         return flags
 
+    def walk(self, layers: Iterable[Collection[int]]) -> Iterator[tuple[int, bool]]:
+        """Each mask of the layers with its abelian flag, every layer flagged and counted."""
+        for layer in layers:
+            yield from zip(layer, self.flags(layer))
+
     def result(self) -> DimensionCounts:
         nonzero = sum(self.histogram.values())
         return DimensionCounts(
@@ -126,8 +131,7 @@ class _Counts:
 
 
 def _ideal_from_mask(mask: int, rs: RootSystem) -> MonomialIdeal:
-    pos = rs.positive_roots
-    return MonomialIdeal(tuple(pos[g] for g in mask_indices(mask)))
+    return MonomialIdeal(rs.roots_of(mask))
 
 
 def _is_ideal_mask(mask: int, rs: RootSystem) -> bool:
@@ -242,18 +246,18 @@ _ORACLE_CAP = 20
 def brute_force_ideals(rs: RootSystem, max_positive_roots: int = _ORACLE_CAP) -> frozenset[MonomialIdeal]:
     """Filter all nonempty subsets of R+ by the closure test (oracle use only)."""
     nonzero = _brute_force_masks(rs, max_positive_roots)[1:]
-    return frozenset(_ideal_from_mask(m, rs) for m in nonzero)
+    return frozenset(_ideal_from_mask(m, rs) for layer in nonzero for m in layer)
 
 
-def _brute_force_masks(rs: RootSystem, max_positive_roots: int = _ORACLE_CAP) -> list[int]:
-    """Masks of all subsets of R+ that pass the closure test, the zero ideal first."""
+def _brute_force_masks(rs: RootSystem, max_positive_roots: int = _ORACLE_CAP) -> list[list[int]]:
+    """Masks of all subsets of R+ that pass the closure test, in the layers ``_enumerate_masks`` yields."""
     n = len(rs.positive_roots)
     if n > max_positive_roots:
         raise CapacityError(
             f"{rs.family}{rs.rank} has {n} positive roots; brute force is capped at "
             f"{max_positive_roots} (2^{n} subsets)"
         )
-    return [mask for mask in range(1 << n) if _is_ideal_mask(mask, rs)]
+    return _layered(sorted((m for m in range(1 << n) if _is_ideal_mask(m, rs)), key=mask_indices))
 
 
 def is_abelian(ideal: MonomialIdeal, rs: RootSystem) -> bool:

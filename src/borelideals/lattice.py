@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidInputError
@@ -44,11 +43,11 @@ def build_lattice(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> IdealLatti
         masks.add(_ideal_mask(ideal, rs))
     if len(masks) != nonzero_ideal_count(rs.family, rs.rank) + 1:
         raise InvalidInputError(f"not every ideal of {rs.family}{rs.rank}: {len(masks) - 1} nonzero given")
-    layers = list(_enumerate_masks(rs))
+    nodes, abelian = zip(*_Counts(rs).walk(_enumerate_masks(rs)))
     return IdealLattice(
-        nodes=tuple(_ideal_from_mask(m, rs) for layer in layers for m in layer),
+        nodes=tuple(_ideal_from_mask(m, rs) for m in nodes),
         cover_edges=tuple(_cover_edges(rs)),
-        abelian=tuple(chain.from_iterable(map(_Counts(rs).flags, layers))),
+        abelian=abelian,
     )
 
 
@@ -76,10 +75,10 @@ def counts_by_dimension(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> Dime
 
     With each member, ``ideals`` must hold the nonzero ideals inside it, as
     all ideals and all abelian ones do: no ideal past the first dimension
-    without an abelian member is tested.
+    without an abelian member is tested.  A non-ideal raises ``InvalidInputError``.
     """
     counts = _Counts(rs)
-    for layer in _layered({rs.mask_of(j.roots) for j in ideals} - {0}):
+    for layer in _layered({_ideal_mask(j, rs) for j in ideals} - {0}):
         counts.flags(layer)
     return counts.result()
 

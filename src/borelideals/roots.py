@@ -47,6 +47,8 @@ def validate_family_rank(family: str, rank: int) -> None:
         raise InvalidInputError(
             f"unknown family {family!r}: expected one of {', '.join(FAMILIES)}"
         )
+    if type(rank) is not int:  # a bool is an int, but names no rank
+        raise InvalidInputError(f"rank must be an int, got {rank!r}")
     lo, hi, note = _RANK_RULES[family]
     if rank < lo:
         raise InvalidInputError(f"family {family} requires rank >= {lo}, got {rank}{note}")
@@ -340,6 +342,12 @@ class RootSystem:
         for r in roots:
             mask |= 1 << self.index_of(r)
         return mask
+
+    def roots_of(self, mask: int) -> tuple[Root, ...]:
+        """The roots of a bitmask in canonical order: the inverse of ``mask_of``."""
+        if not 0 <= mask <= self.full_mask:
+            raise InvalidInputError(f"not a mask of {self.family}{self.rank}'s positive roots: {mask}")
+        return tuple(map(self.positive_roots.__getitem__, mask_indices(mask)))
 
     def labels(self, unicode_alpha: bool = False) -> tuple[str, ...]:
         """``root_ascii`` of every positive root, by canonical index, rendered on each call."""

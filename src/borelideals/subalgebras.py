@@ -42,7 +42,7 @@ def _closed(mask: int, rs: RootSystem) -> int:
     """``_leaving(mask)``, once the mask is checked closed under root addition."""
     leaving = _leaving(mask, rs)
     if leaving & mask:
-        labels = [root_ascii(rs.positive_roots[g]) for g in mask_indices(mask)]
+        labels = [root_ascii(r) for r in rs.roots_of(mask)]
         raise InvalidInputError(f"not closed under root addition: {labels}")
     return leaving
 
@@ -55,10 +55,6 @@ def _touched(mask: int, rs: RootSystem) -> int:
     return touched
 
 
-def _roots(mask: int, rs: RootSystem) -> tuple[Root, ...]:
-    return tuple(rs.positive_roots[g] for g in mask_indices(mask))
-
-
 def is_monomial_subalgebra(roots: Iterable[Root], rs: RootSystem) -> bool:
     """Closure test: r + s in R+ implies r + s in the set, for members r, s."""
     mask = rs.mask_of(roots)
@@ -69,7 +65,7 @@ def monomial_subalgebra(roots: Iterable[Root], rs: RootSystem) -> MonomialSubalg
     """Validate closure; the roots come out in canonical order."""
     mask = rs.mask_of(roots)
     _closed(mask, rs)
-    return MonomialSubalgebra(_roots(mask, rs))
+    return MonomialSubalgebra(rs.roots_of(mask))
 
 
 def monomial_normalizer(sub: MonomialSubalgebra, rs: RootSystem) -> MonomialSubalgebra:
@@ -78,7 +74,7 @@ def monomial_normalizer(sub: MonomialSubalgebra, rs: RootSystem) -> MonomialSuba
     This is the normalizer of the span inside the nilradical; it always
     contains the input and is itself a monomial subalgebra.
     """
-    return MonomialSubalgebra(_roots(rs.full_mask & ~_leaving(rs.mask_of(sub.roots), rs), rs))
+    return MonomialSubalgebra(rs.roots_of(rs.full_mask & ~_leaving(rs.mask_of(sub.roots), rs)))
 
 
 def monomial_centralizer(sub: MonomialSubalgebra, rs: RootSystem) -> frozenset[Root]:
@@ -89,4 +85,4 @@ def monomial_centralizer(sub: MonomialSubalgebra, rs: RootSystem) -> frozenset[R
     test cannot certify that the centralizer is bracket-closed, so callers
     wanting a subalgebra should run ``is_monomial_subalgebra`` on it.
     """
-    return frozenset(_roots(rs.full_mask & ~_touched(rs.mask_of(sub.roots), rs), rs))
+    return frozenset(rs.roots_of(rs.full_mask & ~_touched(rs.mask_of(sub.roots), rs)))

@@ -13,6 +13,7 @@ from borelideals import (
     build_lattice,
     cartan_kernel,
     coroot_pairing,
+    counts_by_dimension,
     enumerate_nilradical_ideals,
     extension_candidates,
     full_ideal_classification,
@@ -193,11 +194,12 @@ def test_every_ideal_check_rejects_a_non_ideal_alike():
         lambda: cartan_kernel(a1, a2),
         lambda: extension_candidates(a1, a2),
         lambda: build_lattice([a1], a2),
+        lambda: counts_by_dimension([a1], a2),
     ):
         with pytest.raises(InvalidInputError) as raised:
             call()
         messages.append(str(raised.value))
-    assert messages == ["not a monomial ideal: [X[a1]]"] * 3
+    assert messages == ["not a monomial ideal: [X[a1]]"] * 4
 
 
 def test_extension_preserves_ideal_property():

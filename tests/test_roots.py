@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -300,6 +301,22 @@ def test_root_tables_match_tuple_addition(family, rank):
         sums = [index_of_sum(r, s) for s in rs.positive_roots]
         assert rs._sum_masks[g] == sum(1 << h for h, t in enumerate(sums) if t is not None)
         assert [rs.sum_index(g, h) for h in range(len(sums))] == sums
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2), ("E", 8), ("A", 40)])
+def test_roots_of_inverts_mask_of(family, rank):
+    """Every subset of the rank-2 systems, seeded random ones of E8 and A40."""
+    rs = system(family, rank)
+    n = len(rs.positive_roots)
+    rng = random.Random(n)
+    masks = range(1 << n) if n <= 6 else [0, rs.full_mask, *(rng.getrandbits(n) for _ in range(100))]
+    for mask in masks:
+        members = {r for g, r in enumerate(rs.positive_roots) if mask >> g & 1}
+        assert rs.mask_of(members) == mask
+        assert rs.roots_of(mask) == tuple(sorted(members, key=root_sort_key))
+    for outside in (-1, rs.full_mask + 1):
+        with pytest.raises(InvalidInputError, match="not a mask of"):
+            rs.roots_of(outside)
 
 
 def test_largest_root_coefficient_is_reached_on_e8():

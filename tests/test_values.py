@@ -20,6 +20,7 @@ from borelideals import (
     ZERO_IDEAL,
     build_lattice,
     cartan_kernel,
+    cartan_matrix,
     counts_by_dimension,
     enumerate_nilradical_ideals,
     full_ideal_classification,
@@ -27,6 +28,7 @@ from borelideals import (
     root_system,
 )
 from borelideals.ideals import NOTE_GENERAL_IDEALS
+from borelideals.roots import coxeter_exponents, positive_root_count
 
 A1 = root_system("A", 1)
 FULL = MonomialIdeal(((1,),))
@@ -123,14 +125,17 @@ def test_root_system_builds_its_own_tables():
     assert e8._up_masks == root_system("E", 8)._up_masks
 
 
-@pytest.mark.parametrize("family,rank", [("H", 3), ("E", 9), ("D", 2), ("A", 0), ("G", 3)])
+@pytest.mark.parametrize(
+    "family,rank",
+    [("H", 3), ("E", 9), ("D", 2), ("A", 0), ("G", 3), ("A", "2"), ("A", 2.0), ("A", True), ("E", None)],
+)
 def test_root_system_and_its_builder_reject_bad_input_alike(family, rank):
     messages = []
-    for build in (RootSystem, root_system):
+    for build in (RootSystem, root_system, cartan_matrix, coxeter_exponents, positive_root_count):
         with pytest.raises(InvalidInputError) as raised:
             build(family, rank)
         messages.append(str(raised.value))
-    assert messages[0] == messages[1]
+    assert len(set(messages)) == 1
 
 
 def test_root_system_repr_shows_its_public_fields():
