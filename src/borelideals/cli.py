@@ -6,11 +6,12 @@ Exit statuses: 0 success, 2 invalid input or an unwritable ``--out``, 3
 capacity exceeded.  Ideals stay bitmasks (see ``roots.RootSystem``) from
 enumeration to output.
 
-Each handler is a generator of text chunks, written as they come.  It makes
-every check before its first chunk, so an error never follows output.  Ideal
-listings arrive one dimension layer at a time, but each chunk is one line, one
-JSON entry, one DOT node or one cover, its roots joined a byte of the mask at
-a time from strings made once per command and byte value (``roots.mask_joiner``);
+Each subcommand's parser carries its handler (``build_parser``), a generator
+of text chunks, written as they come.  A handler makes every check before its
+first chunk, so an error never follows output.  Ideal listings arrive one
+dimension layer at a time, but each chunk is one line, one JSON entry, one DOT
+node or one cover, its roots joined a byte of the mask at a time from strings
+made once per command and byte value (``roots.mask_joiner``);
 ``_write_chunks`` alone batches them into writes.  Stdout is UTF-8, as ``--out`` is.
 Every JSON document starts from ``_json_document``, its ``family`` and ``rank`` head.
 
@@ -334,18 +335,6 @@ def _cmd_check(args, rs: RootSystem) -> Iterator[str]:
     yield f"abelian set: {'yes' if checks['is_abelian_set'] else 'no'}\n"
 
 
-_HANDLERS = {
-    "roots": _cmd_roots,
-    "ideals": _cmd_ideals,
-    "abelian": _cmd_abelian,
-    "classify": _cmd_classify,
-    "lattice": _cmd_lattice,
-    "normalizer": _cmd_normalizer,
-    "centralizer": _cmd_centralizer,
-    "check": _cmd_check,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="borelideals",
@@ -356,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, formats=("text", "json"), needs_set=False):
+    def add(name: str, handler, help_text: str, formats=("text", "json"), needs_set=False):
         sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(handler=handler)
         sp.add_argument("family", help="family letter, one of A B C D E F G")
         sp.add_argument("rank", type=int, help="rank of the root system")
         sp.add_argument("--format", choices=formats, default="text")
@@ -381,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return sp
 
-    add("roots", "positive roots, highest root, Dynkin diagram description")
-    sp = add("ideals", "nonzero monomial ideals of the nilradical")
+    add("roots", _cmd_roots, "positive roots, highest root, Dynkin diagram description")
+    sp = add("ideals", _cmd_ideals, "nonzero monomial ideals of the nilradical")
     sp.add_argument(
         "--include-zero", action="store_true", help="list the zero ideal as well"
     )
@@ -391,12 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="enumerate by brute-force subset filtering (capped; exit 3 beyond)",
     )
-    add("abelian", "abelian monomial ideals, zero ideal included")
-    add("classify", "monomial ideals with their admissible Cartan kernels")
-    add("lattice", "inclusion lattice of the ideals", formats=("text", "json", "dot"))
-    add("normalizer", "normalizer of a monomial subalgebra in the nilradical", needs_set=True)
-    add("centralizer", "root vectors commuting with a monomial subalgebra", needs_set=True)
-    add("check", "test a root set for ideal/subalgebra/abelian properties", needs_set=True)
+    add("abelian", _cmd_abelian, "abelian monomial ideals, zero ideal included")
+    add("classify", _cmd_classify, "monomial ideals with their admissible Cartan kernels")
+    add("lattice", _cmd_lattice, "inclusion lattice of the ideals", formats=("text", "json", "dot"))
+    add("normalizer", _cmd_normalizer, "normalizer of a monomial subalgebra in the nilradical", needs_set=True)
+    add("centralizer", _cmd_centralizer, "root vectors commuting with a monomial subalgebra", needs_set=True)
+    add("check", _cmd_check, "test a root set for ideal/subalgebra/abelian properties", needs_set=True)
     return parser
 
 
@@ -430,7 +420,7 @@ def run(argv: list[str] | None = None) -> int:
             raise InvalidInputError(f"--jobs must be >= 1, got {args.jobs}")
         _check_capacity(args.command, args.family, args.rank)
         rs = root_system(args.family, args.rank)
-        chunks = _HANDLERS[args.command](args, rs)
+        chunks = args.handler(args, rs)
         if args.out is None:
             out = sys.stdout
             try:

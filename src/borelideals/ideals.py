@@ -10,7 +10,8 @@ independent oracle on small systems.
 
 General ideals are the monomial ones enriched by a Cartan part: for a fixed
 root set, the admissible Cartan vectors are exactly those annihilated by
-every root outside the set, computed here as an exact integer kernel.
+every root outside the set, an exact integer kernel that depends only on the
+simple roots the set misses and is kept once per system (``RootSystem._kernels``).
 
 Inside the package an ideal is a bitmask over the canonical root order (bit g
 stands for ``positive_roots[g]``) from enumeration through rendering and
@@ -20,7 +21,6 @@ function returns them.
 
 from __future__ import annotations
 
-import functools
 from collections import defaultdict
 from itertools import islice, takewhile
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, NamedTuple
@@ -337,21 +337,19 @@ def _classification(missing: int, rs: RootSystem) -> tuple[CartanKernelBasis, bo
     every simple root in the support of its members: its pairing rows span
     the same space as the Cartan rows of the simple roots missing from the
     ideal (Cellini-Papi).  So there are at most 2^rank kernels.  Every root
-    lies above a simple root, so only the whole nilradical misses none.
+    lies above a simple root, so only the whole nilradical misses none.  Each
+    kernel is made once per system, on its first read of ``rs._kernels``.
     """
-    from .linalg import kernel_basis
-
-    kernel = CartanKernelBasis(kernel_basis([rs.cartan[i] for i in mask_indices(missing)], rs.rank))
+    kernel = CartanKernelBasis(rs._kernels[missing])
     return kernel, kernel.dimension > 0 and missing != 0
 
 
 def full_ideal_classification(rs: RootSystem) -> IdealClassification:
     """Pair every monomial ideal with its Cartan kernel, smallest ideals first."""
     simple = (1 << rs.rank) - 1
-    classify = functools.cache(lambda missing: _classification(missing, rs))
     return IdealClassification(
         entries=tuple(
-            ClassificationEntry(_ideal_from_mask(mask, rs), *classify(~mask & simple))
+            ClassificationEntry(_ideal_from_mask(mask, rs), *_classification(~mask & simple, rs))
             for layer in _enumerate_masks(rs)
             for mask in layer
         )

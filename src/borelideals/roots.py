@@ -4,8 +4,8 @@ A root is an integer coefficient vector over the simple roots.  Starting from
 the simple roots (the unit vectors), the positive roots are generated one
 height at a time: a root r extends to r + alpha_j exactly when its alpha_j-string
 reaches above it.  Everything here is exact integer arithmetic; a constructed
-``RootSystem`` is safe to share freely across threads or workers (the rows it
-fills on first use are the same whichever thread fills them).
+``RootSystem`` is safe to share freely across threads or workers (the table
+entries it fills on first use are the same whichever thread fills them).
 
 Simple-root indices are 0-based throughout the API; renderings ("a1", "a2",
 ...) are 1-based to match the usual labelling of Dynkin diagram nodes.
@@ -220,17 +220,16 @@ def _climb(cartan: CartanMatrix) -> tuple[tuple[Root, ...], dict[int, int], list
     return tuple(roots), index, up
 
 
-class _SumRows(dict):
-    """``RootSystem._sum_masks``: rows made on first read, from the keys alone."""
+class _Lazy(dict):
+    """A table whose entry for a key is ``make(key)``, made on its first read."""
 
-    def __init__(self, keys: tuple[int, ...], key_index: dict[int, int]) -> None:
+    def __init__(self, make: Callable[[int], object]) -> None:
         super().__init__()
-        self._keys, self._key_index = keys, key_index
+        self._make = make
 
-    def __missing__(self, g: int) -> int:
-        k, index = self._keys[g], self._key_index
-        row = self[g] = sum(1 << h for h, other in enumerate(self._keys) if k + other in index)
-        return row
+    def __missing__(self, key: int) -> object:
+        value = self[key] = self._make(key)
+        return value
 
 
 _PUBLIC_FIELDS = ("family", "rank", "cartan", "simple_roots", "positive_roots", "highest_root")
@@ -246,8 +245,10 @@ class RootSystem:
     canonical order, ``_up_masks[g]`` is the bitmask (over canonical indices)
     of roots of the form ``positive_roots[g] + alpha_j``, and ``_sum_masks[g]``
     the bitmask of roots h with ``positive_roots[g] + positive_roots[h]`` again
-    a root.  Each ``_sum_masks`` row is built on its first read, so a query
-    pays only for the rows of the roots it holds.
+    a root, and ``_kernels[missing]`` the ``linalg.kernel_basis`` of the Cartan
+    rows of the simple roots in the mask ``missing``.  Both are ``_Lazy``
+    tables, each entry built on its first read, so a query pays only for the
+    rows of the roots it holds and a classification for the kernels it meets.
     ``_keys[g]`` packs ``positive_roots[g]`` into ``_KEY_BITS``-bit fields, so
     adding keys adds roots; ``sum_index`` looks sums up in ``_key_index``.  A
     key made from an outside tuple could alias a root: input uses ``_position``.
@@ -269,7 +270,8 @@ class RootSystem:
     highest_root: Root
     _position: dict[Root, int]
     _up_masks: tuple[int, ...]
-    _sum_masks: _SumRows
+    _sum_masks: _Lazy
+    _kernels: _Lazy
     _keys: tuple[int, ...]
     _key_index: dict[int, int]
 
@@ -286,6 +288,15 @@ class RootSystem:
                 f"{family}{rank}: highest root is not unique; generated system is not irreducible"
             )
 
+        def sum_row(g: int) -> int:
+            k = keys[g]
+            return sum(1 << h for h, other in enumerate(keys) if k + other in key_index)
+
+        def kernel(missing: int) -> tuple[tuple[int, ...], ...]:
+            from .linalg import kernel_basis
+
+            return kernel_basis([cm[i] for i in mask_indices(missing)], rank)
+
         self.__dict__.update(
             family=family,
             rank=rank,
@@ -295,7 +306,8 @@ class RootSystem:
             highest_root=unextendable[0],
             _position={r: g for g, r in enumerate(positive)},
             _up_masks=tuple(up_masks),
-            _sum_masks=_SumRows(keys, key_index),
+            _sum_masks=_Lazy(sum_row),
+            _kernels=_Lazy(kernel),
             _keys=keys,
             _key_index=key_index,
         )
@@ -363,24 +375,17 @@ def mask_indices(mask: int) -> list[int]:
     return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
 
-class _ByteRow(dict):
-    """Byte value b to the joined pieces of its set bits, for one slice of 8 pieces; made on first read."""
-
-    def __init__(self, pieces: Sequence[str]) -> None:
-        self._pieces = pieces
-
-    def __missing__(self, b: int) -> str:
-        text = self[b] = "".join([p for i, p in enumerate(self._pieces) if b >> i & 1])
-        return text
-
-
 def mask_joiner(pieces: Sequence[str]) -> Callable[[int], str]:
     """``join(mask)``: the pieces of the mask's set bits, ascending, joined a byte at a time.
 
     ``pieces[g]`` stands for bit g.  The rows fill lazily, so joining few masks builds few strings.
     """
     size = (len(pieces) + 7) // 8
-    rows = [_ByteRow(pieces[k : k + 8]) for k in range(0, len(pieces), 8)]
+
+    def row(few: Sequence[str]) -> _Lazy:  # byte value b to the joined pieces of its set bits
+        return _Lazy(lambda b: "".join([p for i, p in enumerate(few) if b >> i & 1]))
+
+    rows = [row(pieces[k : k + 8]) for k in range(0, len(pieces), 8)]
     get = dict.__getitem__  # calls __missing__, as dict.get would not
 
     def join(mask: int) -> str:

@@ -7,6 +7,7 @@ from borelideals import (
     CapacityError,
     InvalidInputError,
     MonomialIdeal,
+    RootSystem,
     ZERO_IDEAL,
     abelian_ideals,
     brute_force_ideals,
@@ -470,6 +471,27 @@ def test_classification_matches_per_ideal_kernels(family, rank):
             entry.kernel_dimension > 0
             and entry.ideal.dimension < len(rs.positive_roots)
         )
+
+
+def test_cartan_kernel_reduces_once_per_missing_set(monkeypatch):
+    # a kernel depends only on the simple roots an ideal misses, so a system
+    # reduces at most 2^rank of them, however many ideals ask
+    from borelideals import linalg
+
+    calls = []
+
+    def counted(rows, width):
+        calls.append(len(rows))
+        return kernel_basis(rows, width)
+
+    monkeypatch.setattr(linalg, "kernel_basis", counted)
+    rs = RootSystem("E", 6)
+    for ideal in [ZERO_IDEAL, *enumerate_nilradical_ideals(rs)]:
+        cartan_kernel(ideal, rs)
+    assert len(calls) <= 1 << rs.rank
+    reduced = len(calls)
+    full_ideal_classification(rs)
+    assert len(calls) == reduced  # the classification reads the same kernels
 
 
 @pytest.mark.parametrize(

@@ -117,6 +117,13 @@ def test_root_system_compares_and_hashes_by_its_public_fields():
     assert a3 != root_system("B", 3)
     assert a3 != (a3.family, a3.rank, a3.cartan, a3.simple_roots, a3.positive_roots, a3.highest_root)
     assert len({a3, again, root_system("B", 3)}) == 2
+    # the lazily filled tables are no part of the value
+    full_ideal_classification(a3)  # every missing set has an ideal: all 2^3 kernels
+    for g in range(len(a3.positive_roots)):
+        a3._sum_masks[g]
+    assert (len(a3._kernels), len(a3._sum_masks)) == (8, 6)
+    assert not again._kernels and not again._sum_masks
+    assert a3 == again and hash(a3) == hash(again) and repr(a3) == repr(again)
 
 
 def test_root_system_builds_its_own_tables():
