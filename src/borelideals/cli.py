@@ -172,16 +172,10 @@ def _text_lines(layers: Iterable[Iterable[int]], render: Callable[[int], str]) -
 
 def _cartan_combo_ascii(vec: Iterable[int], unicode_alpha: bool = False) -> str:
     sym = "α" if unicode_alpha else "a"
-    out = ""
-    for i, c in enumerate(vec):
-        if c == 0:
-            continue
-        term = f"H[{sym}{i + 1}]" if abs(c) == 1 else f"{abs(c)}H[{sym}{i + 1}]"
-        if not out:
-            out = ("-" if c < 0 else "") + term
-        else:
-            out += ("-" if c < 0 else "+") + term
-    return out or "0"
+    out = "".join(
+        f"{'-' if c < 0 else '+'}{abs(c) if abs(c) != 1 else ''}H[{sym}{i + 1}]" for i, c in enumerate(vec) if c
+    )
+    return out.removeprefix("+") or "0"
 
 
 def _cmd_roots(args, rs: RootSystem) -> Iterator[str]:
@@ -305,26 +299,26 @@ def _cmd_normalizer(args, rs: RootSystem) -> Iterator[str]:
     from .subalgebras import _closed
 
     mask = rs.mask_of(parse_root_set(args.set, rs))
-    yield from _set_answer(args, rs, "normalizer", mask, rs.full_mask & ~_closed(mask, rs))
+    yield from _set_answer(args, rs, "normalizer", mask, rs.full_mask & ~_closed(mask, rs)[0])
 
 
 def _cmd_centralizer(args, rs: RootSystem) -> Iterator[str]:
-    from .subalgebras import _closed, _touched
+    from .subalgebras import _closed
 
     mask = rs.mask_of(parse_root_set(args.set, rs))
-    _closed(mask, rs)
-    yield from _set_answer(args, rs, "centralizer", mask, rs.full_mask & ~_touched(mask, rs))
+    yield from _set_answer(args, rs, "centralizer", mask, rs.full_mask & ~_closed(mask, rs)[1])
 
 
 def _cmd_check(args, rs: RootSystem) -> Iterator[str]:
-    from .ideals import _is_abelian_mask, _is_ideal_mask
-    from .subalgebras import _leaving
+    from .ideals import _is_ideal_mask
+    from .subalgebras import _walk
 
     mask = rs.mask_of(parse_root_set(args.set, rs))
+    leaving, touched = _walk(mask, rs)
     checks = {
         "is_monomial_ideal": _is_ideal_mask(mask, rs),
-        "is_monomial_subalgebra": _leaving(mask, rs) & mask == 0,
-        "is_abelian_set": _is_abelian_mask(mask, rs),
+        "is_monomial_subalgebra": leaving & mask == 0,
+        "is_abelian_set": touched & mask == 0,
     }
     if args.format == "json":
         yield _json_document(rs, set=_vectors(rs.roots_of(mask)), checks=checks)

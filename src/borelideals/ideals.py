@@ -221,7 +221,7 @@ def _enumerate_masks(rs: RootSystem) -> Iterator[dict[int, int]]:
     for h, above in enumerate(up):
         for g in mask_indices(above):
             below[1 << g].append((1 << h, above))
-    layer = {0: sum(1 << g for g, above in enumerate(up) if above == 0)}
+    layer = {0: 1 << rs.index_of(rs.highest_root)}  # the zero ideal admits the highest root alone
     while layer:
         yield layer
         groups: defaultdict[int, dict[int, int]] = defaultdict(dict)

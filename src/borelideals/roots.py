@@ -135,8 +135,8 @@ def _check_dimensions(root: Root, j: int, cartan: CartanMatrix) -> None:
         raise InvalidInputError(
             f"root has length {len(root)}, Cartan matrix has rank {rank}"
         )
-    if not 0 <= j < rank:
-        raise InvalidInputError(f"simple-root index {j} out of range 0..{rank - 1}")
+    if type(j) is not int or not 0 <= j < rank:  # a bool is an int, but names no index
+        raise InvalidInputError(f"simple-root index {j!r} is not an int in 0..{rank - 1}")
 
 
 def coroot_pairing(root: Root, j: int, cartan: CartanMatrix) -> int:
@@ -186,8 +186,8 @@ def _climb(cartan: CartanMatrix) -> tuple[tuple[Root, ...], dict[int, int], list
     """
     rank = len(cartan)
     for i, row in enumerate(cartan):
-        if len(row) != rank or row[i] != 2:
-            raise InvalidInputError("malformed Cartan matrix: bad shape or diagonal")
+        if len(row) != rank or any(type(a) is not int for a in row) or row[i] != 2:
+            raise InvalidInputError("malformed Cartan matrix: bad shape, entry type or diagonal")
         for j, a in enumerate(row):
             if i != j and (a > 0 or a < -3 or (a == 0) != (cartan[j][i] == 0)):
                 raise InvalidInputError("malformed Cartan matrix: bad off-diagonal entry")
@@ -357,7 +357,7 @@ class RootSystem:
 
     def roots_of(self, mask: int) -> tuple[Root, ...]:
         """The roots of a bitmask in canonical order: the inverse of ``mask_of``."""
-        if not 0 <= mask <= self.full_mask:
+        if type(mask) is not int or not 0 <= mask <= self.full_mask:  # a bool is no mask
             raise InvalidInputError(f"not a mask of {self.family}{self.rank}'s positive roots: {mask}")
         return tuple(map(self.positive_roots.__getitem__, mask_indices(mask)))
 
@@ -413,15 +413,13 @@ def root_system(family: str, rank: int) -> RootSystem:
 
 
 def is_root(candidate: Root, rs: RootSystem) -> bool:
-    """Whether ``candidate`` is a positive root of ``rs`` (O(1) lookup); a list raises."""
-    if len(candidate) != rs.rank:
-        raise InvalidInputError(
-            f"root has length {len(candidate)}, system has rank {rs.rank}"
-        )
+    """Whether ``candidate`` is a positive root of ``rs`` (O(1) lookup); a list or an int raises."""
     try:
-        return candidate in rs._position
-    except TypeError:
+        if len(candidate) == rs.rank:
+            return candidate in rs._position
+    except TypeError:  # no length, or unhashable
         raise InvalidInputError(f"a root is a tuple of integers, got {candidate!r}") from None
+    raise InvalidInputError(f"root has length {len(candidate)}, system has rank {rs.rank}")
 
 
 def root_ascii(root: Root, unicode_alpha: bool = False) -> str:

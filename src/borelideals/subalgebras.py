@@ -6,6 +6,10 @@ the nilradical only, and only for monomial spans: whether [X_r, X_s] lands in
 a monomial span depends only on whether r+s is a root, never on structure
 constant signs.  Subalgebras spanned by generic linear combinations (with
 free coefficients) are outside this module's scope.
+
+Every query is one walk over the members' sum rows (``_walk``): the closure
+test and the normalizer read the roots leaving the set, the abelian test and
+the centralizer the rows' union.
 """
 
 from __future__ import annotations
@@ -26,39 +30,33 @@ class MonomialSubalgebra(NamedTuple):
         return len(self.roots)
 
 
-def _leaving(mask: int, rs: RootSystem) -> int:
-    """Bitmask of the roots r with r + s a root outside the set, for some member s.
+def _walk(mask: int, rs: RootSystem) -> tuple[int, int]:
+    """The roots g with g + s a root outside the set, and with g + s a root, for some member s.
 
-    Root addition is symmetric, so only the sum rows of the members are read.
+    Root addition is symmetric, so each member's sum row is read once.  The
+    set is closed when no member leaves it, abelian when none is in the union.
     """
-    out = 0
+    leaving = touched = 0
     for h in mask_indices(mask):
-        row = mask_indices(rs._sum_masks[h])
-        out |= sum(1 << g for g in row if not mask >> rs.sum_index(g, h) & 1)
-    return out
+        row = rs._sum_masks[h]
+        touched |= row
+        leaving |= sum(1 << g for g in mask_indices(row) if not mask >> rs.sum_index(g, h) & 1)
+    return leaving, touched
 
 
-def _closed(mask: int, rs: RootSystem) -> int:
-    """``_leaving(mask)``, once the mask is checked closed under root addition."""
-    leaving = _leaving(mask, rs)
+def _closed(mask: int, rs: RootSystem) -> tuple[int, int]:
+    """``_walk(mask)``, once the mask is checked closed under root addition."""
+    leaving, touched = _walk(mask, rs)
     if leaving & mask:
         labels = [root_ascii(r) for r in rs.roots_of(mask)]
         raise InvalidInputError(f"not closed under root addition: {labels}")
-    return leaving
-
-
-def _touched(mask: int, rs: RootSystem) -> int:
-    """Bitmask of the roots r with r + s a root, for some member s: the members' sum rows."""
-    touched = 0
-    for h in mask_indices(mask):
-        touched |= rs._sum_masks[h]  # symmetric: bit g of row h is bit h of row g
-    return touched
+    return leaving, touched
 
 
 def is_monomial_subalgebra(roots: Iterable[Root], rs: RootSystem) -> bool:
     """Closure test: r + s in R+ implies r + s in the set, for members r, s."""
     mask = rs.mask_of(roots)
-    return _leaving(mask, rs) & mask == 0
+    return _walk(mask, rs)[0] & mask == 0
 
 
 def monomial_subalgebra(roots: Iterable[Root], rs: RootSystem) -> MonomialSubalgebra:
@@ -74,7 +72,7 @@ def monomial_normalizer(sub: MonomialSubalgebra, rs: RootSystem) -> MonomialSuba
     This is the normalizer of the span inside the nilradical; it always
     contains the input and is itself a monomial subalgebra.
     """
-    return MonomialSubalgebra(rs.roots_of(rs.full_mask & ~_leaving(rs.mask_of(sub.roots), rs)))
+    return MonomialSubalgebra(rs.roots_of(rs.full_mask & ~_walk(rs.mask_of(sub.roots), rs)[0]))
 
 
 def monomial_centralizer(sub: MonomialSubalgebra, rs: RootSystem) -> frozenset[Root]:
@@ -85,4 +83,4 @@ def monomial_centralizer(sub: MonomialSubalgebra, rs: RootSystem) -> frozenset[R
     test cannot certify that the centralizer is bracket-closed, so callers
     wanting a subalgebra should run ``is_monomial_subalgebra`` on it.
     """
-    return frozenset(rs.roots_of(rs.full_mask & ~_touched(rs.mask_of(sub.roots), rs)))
+    return frozenset(rs.roots_of(rs.full_mask & ~_walk(rs.mask_of(sub.roots), rs)[1]))

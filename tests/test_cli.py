@@ -216,20 +216,35 @@ def test_normalizer_text(capsys):
 
 
 def test_normalizer_makes_one_closure_pass(monkeypatch, capsys):
-    from borelideals import subalgebras
+    """normalizer, centralizer and check read each member's sum row once.
 
-    leaving = subalgebras._leaving
-    calls = []
+    Each command runs on a fresh B2 whose sum-row table is swapped, in the
+    system's ``__dict__``, for one that records every read.
+    """
+    from borelideals.roots import RootSystem
 
-    def counted(mask, rs):
-        calls.append(mask)
-        return leaving(mask, rs)
+    class CountedRows(dict):
+        def __init__(self, rows):
+            super().__init__()
+            self.rows, self.reads = rows, []
 
-    monkeypatch.setattr(subalgebras, "_leaving", counted)
-    code, out, _ = invoke(["normalizer", "B", "2", "--set", "a2"], capsys)
-    assert code == 0
-    assert out == "[X[a2], X[a1+2a2]]\n"
-    assert calls == [0b10]  # the set is checked closed and answered in one pass
+        def __missing__(self, g):
+            self.reads.append(g)
+            return self.rows[g]
+
+    # a2 is bit 1 and a1+2a2 bit 3; {a2, a1+2a2} is abelian
+    for argv, want, reads in (
+        (["normalizer", "B", "2", "--set", "a2"], "[X[a2], X[a1+2a2]]\n", [1]),
+        (["centralizer", "B", "2", "--set", "a2, a1+2a2"], "[X[a2], X[a1+2a2]]\n", [1, 3]),
+        (["check", "B", "2", "--set", "a2, a1+2a2"], "abelian set: yes\n", [1, 3]),
+    ):
+        rs = RootSystem("B", 2)
+        counted = rs.__dict__["_sum_masks"] = CountedRows(rs._sum_masks)
+        monkeypatch.setattr(cli, "root_system", lambda family, rank: rs)
+        code, out, _ = invoke(argv, capsys)
+        assert code == 0
+        assert out.endswith(want)
+        assert counted.reads == reads  # the set is checked and answered in one pass
 
 
 def test_centralizer_text(capsys):

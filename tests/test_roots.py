@@ -173,6 +173,8 @@ def test_coroot_pairing_rejects_bad_dimensions():
         coroot_pairing((1, 0), 2, a2)
     with pytest.raises(InvalidInputError):
         coroot_pairing((1, 0), -1, a2)
+    with pytest.raises(InvalidInputError):
+        coroot_pairing((1, 0), 1.0, a2)
 
 
 def test_reflect_simple_values():
@@ -219,8 +221,9 @@ def test_generate_rejects_cartan_matrix_not_of_finite_type(cartan):
 
 @pytest.mark.parametrize(
     "cartan",
-    [((2, -1),), ((2, -1), (-1, 3)), ((2, 1), (1, 2)), ((2, -4), (-1, 2)), ((2, -1), (0, 2))],
-    ids=["not-square", "diagonal", "positive", "below-minus-3", "one-sided-zero"],
+    [((2, -1),), ((2, -1), (-1, 3)), ((2, 1), (1, 2)), ((2, -4), (-1, 2)), ((2, -1), (0, 2)),
+     ((2, -1.5), (-1, 2)), ((2, "-1"), (-1, 2))],
+    ids=["not-square", "diagonal", "positive", "below-minus-3", "one-sided-zero", "float-entry", "str-entry"],
 )
 def test_generate_rejects_malformed_cartan_matrix(cartan):
     with pytest.raises(InvalidInputError, match="malformed Cartan matrix"):
@@ -314,7 +317,7 @@ def test_roots_of_inverts_mask_of(family, rank):
         members = {r for g, r in enumerate(rs.positive_roots) if mask >> g & 1}
         assert rs.mask_of(members) == mask
         assert rs.roots_of(mask) == tuple(sorted(members, key=root_sort_key))
-    for outside in (-1, rs.full_mask + 1):
+    for outside in (-1, rs.full_mask + 1, 1.5, True):
         with pytest.raises(InvalidInputError, match="not a mask of"):
             rs.roots_of(outside)
 
@@ -414,6 +417,8 @@ def test_a_root_given_as_a_list_raises_invalid_input():
         a2.index_of([1, 0])
     with pytest.raises(InvalidInputError):
         is_root([1, 1], a2)
+    with pytest.raises(InvalidInputError):
+        is_root(5, a2)
     with pytest.raises(InvalidInputError):
         is_monomial_ideal([[1, 1]], a2)
     with pytest.raises(InvalidInputError):
