@@ -6,7 +6,8 @@ corresponding root vectors, which is an ideal of the Borel subalgebra
 contained in the nilradical.  Enumeration proceeds one dimension at a time
 from the zero ideal, making each ideal once from its canonical parent, the
 ideal without its lowest root; a brute-force subset filter doubles as an
-independent oracle on small systems.
+independent oracle on small systems.  Pruned to abelian children, the same
+search makes the 2^rank abelian ideals alone; an abelian flag is membership.
 
 General ideals are the monomial ones enriched by a Cartan part: for a fixed
 root set, the admissible Cartan vectors are exactly those annihilated by
@@ -22,7 +23,7 @@ function returns them.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import islice, takewhile
+from itertools import islice
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, NamedTuple
 
 from .errors import CapacityError, InvalidInputError
@@ -92,24 +93,21 @@ class DimensionCounts(NamedTuple):
 
 
 class _Counts:
-    """Abelian flags and ``DimensionCounts`` of complete ideal layers, fed in rising dimension.
+    """Abelian flags and ``DimensionCounts`` of ideal masks, fed a layer of equal dimension at a time.
 
-    A subset of an abelian ideal is abelian, and a nonzero ideal minus one of
-    its minimal roots is an ideal one dimension lower; so no layer after the
-    first without an abelian ideal has one, and its flags are False untested.
+    A mask is flagged abelian by membership in the 2^rank masks of the
+    pruned search (``_abelian_masks``), so any layers, in any order, are
+    flagged and counted alike.
     """
 
     def __init__(self, rs: RootSystem) -> None:
-        self.rs = rs
+        self.abelian_masks = frozenset(m for layer in _abelian_masks(rs) for m in layer)
         self.histogram: dict[int, int] = {}
         self.abelian = 0
-        self.seen = True  # whether the layer before had an abelian ideal
 
     def flags(self, layer: Collection[int]) -> list[bool]:
         """Abelian flag of each mask of a layer, counting the layer unless it is the zero ideal."""
-        seen, rs = self.seen, self.rs
-        flags = [seen and _is_abelian_mask(m, rs) for m in layer]
-        self.seen = any(flags)
+        flags = list(map(self.abelian_masks.__contains__, layer))
         if dimension := next(iter(layer)).bit_count():
             self.histogram[dimension] = len(layer)
             self.abelian += sum(flags)
@@ -199,7 +197,7 @@ def enumerate_nilradical_ideals(rs: RootSystem) -> frozenset[MonomialIdeal]:
     return frozenset(_ideal_from_mask(m, rs) for layer in nonzero for m in layer)
 
 
-def _enumerate_masks(rs: RootSystem) -> Iterator[dict[int, int]]:
+def _enumerate_masks(rs: RootSystem, abelian: bool = False) -> Iterator[dict[int, int]]:
     """Ideal masks one dimension at a time from zero up, each layer in ``ideal_sort_key`` order.
 
     A layer maps each mask to the roots that may join it (those outside it
@@ -215,8 +213,12 @@ def _enumerate_masks(rs: RootSystem) -> Iterator[dict[int, int]]:
     The search walks each ``addable`` by its lowest set bit, and a step table
     maps the bit of g to (bit of h, ``_up_masks[h]``) for each h one step below
     g, read off ``_up_masks``: the h with bit g set in ``_up_masks[h]``.
+
+    With ``abelian`` it keeps abelian ideals alone: a parent is a subset of
+    its child, so an abelian I + g has an abelian parent I, and is abelian
+    exactly when ``_sum_masks[g]`` misses I + g.
     """
-    up = rs._up_masks
+    up, sums = rs._up_masks, rs._sum_masks
     below: dict[int, list[tuple[int, int]]] = {1 << g: [] for g in range(len(up))}
     for h, above in enumerate(up):
         for g in mask_indices(above):
@@ -231,6 +233,8 @@ def _enumerate_masks(rs: RootSystem) -> Iterator[dict[int, int]]:
                 bit = rest & -rest
                 rest ^= bit
                 bigger = mask | bit
+                if abelian and sums[bit.bit_length() - 1] & bigger:
+                    continue
                 admitted = addable ^ bit
                 for h, above in below[bit]:
                     if above & bigger == above:
@@ -270,13 +274,9 @@ def abelian_ideals(rs: RootSystem) -> tuple[MonomialIdeal, ...]:
     return tuple(_ideal_from_mask(m, rs) for layer in _abelian_masks(rs) for m in layer)
 
 
-def _abelian_masks(rs: RootSystem) -> Iterator[list[int]]:
-    """Abelian ideal masks a layer at a time, zero first, up to the last layer that has one.
-
-    No later layer has one (see ``_Counts``), so the search stops there.
-    """
-    flags = _Counts(rs).flags
-    return takewhile(bool, ([m for m, a in zip(ms, flags(ms)) if a] for ms in _enumerate_masks(rs)))
+def _abelian_masks(rs: RootSystem) -> Iterator[dict[int, int]]:
+    """Abelian ideal masks a layer at a time, zero first: 2^rank of them (Peterson)."""
+    return _enumerate_masks(rs, abelian=True)
 
 
 class CartanKernelBasis(NamedTuple):

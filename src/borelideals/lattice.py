@@ -73,9 +73,7 @@ def _cover_edges(rs: RootSystem) -> Iterator[tuple[int, int]]:
 def counts_by_dimension(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> DimensionCounts:
     """Count nonzero ideals per dimension, totals with/without zero, and abelian.
 
-    With each member, ``ideals`` must hold the nonzero ideals inside it, as
-    all ideals and all abelian ones do: no ideal past the first dimension
-    without an abelian member is tested.  A non-ideal raises ``InvalidInputError``.
+    Any set of ideals is counted; a non-ideal raises ``InvalidInputError``.
     """
     counts = _Counts(rs)
     for layer in _layered({_ideal_mask(j, rs) for j in ideals} - {0}):

@@ -135,6 +135,8 @@ def _check_dimensions(root: Root, j: int, cartan: CartanMatrix) -> None:
         raise InvalidInputError(
             f"root has length {len(root)}, Cartan matrix has rank {rank}"
         )
+    if any(type(c) is not int for c in root):
+        raise InvalidInputError(f"root {root!r} has an entry that is not an int")
     if type(j) is not int or not 0 <= j < rank:  # a bool is an int, but names no index
         raise InvalidInputError(f"simple-root index {j!r} is not an int in 0..{rank - 1}")
 

@@ -193,21 +193,19 @@ def test_every_abelian_flag_path_agrees_with_the_closed_forms(family, rank, caps
 
 
 @pytest.mark.parametrize("family,rank", [("E", 8), ("A", 8)])
-def test_abelian_flags_stop_testing_after_the_last_abelian_layer(family, rank, monkeypatch, capsys):
-    rs = system(family, rank)
-    top = malcev_dimension(family, rank)
-    # ideals tested: every layer up to the Malcev dimension, and the one after
-    expected = 1 + sum(1 for j in enumerate_nilradical_ideals(rs) if j.dimension <= top + 1)
+def test_listings_flag_abelian_ideals_without_testing_them(family, rank, monkeypatch, capsys):
+    # the flags are membership in the pruned search's 2^rank masks, so no
+    # listing tests an ideal's roots pairwise
     tested = []
     real = ideals_module._is_abelian_mask
     monkeypatch.setattr(
         ideals_module, "_is_abelian_mask", lambda m, rs: tested.append(m) or real(m, rs)
     )
-    for argv in (["ideals", "--include-zero", "--format", "json"], ["lattice", "--format", "dot"]):
-        tested.clear()
-        assert run([argv[0], family, str(rank), *argv[1:]]) == 0
-        capsys.readouterr()
-        assert len(tested) == expected
+    listed = cli_json(["ideals", family, str(rank), "--include-zero"], capsys)["ideals"]
+    assert sum(entry["abelian"] for entry in listed) == 2**rank
+    assert run(["lattice", family, str(rank), "--format", "dot"]) == 0
+    assert capsys.readouterr().out.count("fillcolor") == 2**rank
+    assert tested == []
 
 
 @pytest.mark.parametrize("family,rank", MALCEV_SYSTEMS)

@@ -337,28 +337,33 @@ def test_abelian_count_is_two_to_the_rank(family, rank):
 
 @pytest.mark.parametrize("family,rank", [("A", 9), ("E", 8)])
 def test_abelian_search_stops_at_the_first_empty_layer(family, rank, monkeypatch, tmp_path):
-    # a subset of an abelian ideal is abelian, and every nonzero ideal covers
-    # one a dimension lower: no layer after the first without an abelian
-    # ideal holds one, so the library and the text listing stop there
+    # the parent of an abelian ideal is abelian, so the search pruned to
+    # abelian children makes the 2^rank abelian ideals alone, one layer per
+    # dimension 0..top, and stops at the first empty layer after them
     rs = system(family, rank)
-    pulled = []
+    made = []
+    real = ideals_module._enumerate_masks
 
-    def counted(rs, enumerate_masks=ideals_module._enumerate_masks):
-        for layer in enumerate_masks(rs):
-            pulled.append(layer)
+    def counted(*args, **kwargs):
+        for layer in real(*args, **kwargs):
+            made.append(list(layer))
             yield layer
 
     monkeypatch.setattr(ideals_module, "_enumerate_masks", counted)
     listed = abelian_ideals(rs)
     top = max(j.dimension for j in listed)
-    assert len(pulled) == top + 2
-    assert not any(ideals_module._is_abelian_mask(m, rs) for m in pulled[-1])
     assert len(listed) == 2**rank
-    pulled.clear()
+    searches = [list(made)]
+    made.clear()
     target = tmp_path / "abelian.txt"
     assert run(["abelian", family, str(rank), "--out", str(target)]) == 0
-    assert len(pulled) == top + 2
     assert len(target.read_text().splitlines()) == 2**rank
+    searches.append(made)
+    for layers in searches:
+        assert len(layers) == top + 1
+        assert all(m.bit_count() == d for d, layer in enumerate(layers) for m in layer)
+        assert all(ideals_module._is_abelian_mask(m, rs) for layer in layers for m in layer)
+        assert sum(map(len, layers)) == 2**rank
 
 
 def test_cartan_kernel_values():

@@ -137,6 +137,16 @@ def test_counts_by_dimension_values():
     assert counts.nonzero_total == 104
     assert counts.with_zero_total == 105
 
+    # any set counts, not only one closed downward: a non-abelian ideal of
+    # dimension 4 beside an abelian one of dimension 5, the zero ideal added
+    c3 = system("C", 3)
+    non_abelian = MonomialIdeal(((1, 1, 0), (1, 1, 1), (1, 2, 1), (2, 2, 1)))
+    abelian = MonomialIdeal(((0, 1, 1), (1, 1, 1), (0, 2, 1), (1, 2, 1), (2, 2, 1)))
+    assert not is_abelian(non_abelian, c3) and is_abelian(abelian, c3)
+    counts = counts_by_dimension([non_abelian, abelian], c3)
+    assert counts.by_dimension == {4: 1, 5: 1}
+    assert counts.abelian_total == 2
+
 
 def test_dot_export_structure_and_stability():
     rs, lattice = build("A", 2)

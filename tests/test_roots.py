@@ -175,6 +175,11 @@ def test_coroot_pairing_rejects_bad_dimensions():
         coroot_pairing((1, 0), -1, a2)
     with pytest.raises(InvalidInputError):
         coroot_pairing((1, 0), 1.0, a2)
+    for root in ((1.5, 0), ("x", 0)):
+        with pytest.raises(InvalidInputError, match="not an int"):
+            coroot_pairing(root, 0, a2)
+        with pytest.raises(InvalidInputError, match="not an int"):
+            reflect_simple(root, 0, a2)
 
 
 def test_reflect_simple_values():
