@@ -13,12 +13,8 @@ _EXPORTS = {
         "errors": "CapacityError InvalidInputError StructuralError",
         "roots": """
             CartanMatrix Root RootSystem cartan_matrix coroot_pairing dynkin_description
-            generate_positive_roots is_root reflect_simple root_ascii root_height
-            root_sort_key root_system root_vector_str
-        """,
-        "borel": """
-            BasisElement BorelBasis CartanGenerator RootVector basis_element_ascii
-            borel_basis monomial_bracket nilradical_basis
+            generate_positive_roots is_root monomial_bracket reflect_simple root_ascii
+            root_height root_sort_key root_system root_vector_str
         """,
         "ideals": """
             CartanKernelBasis ClassificationEntry IdealClassification MonomialIdeal

@@ -9,6 +9,15 @@ entries it fills on first use are the same whichever thread fills them).
 
 Simple-root indices are 0-based throughout the API; renderings ("a1", "a2",
 ...) are 1-based to match the usual labelling of Dynkin diagram nodes.
+
+The Borel subalgebra has the basis H[a_j] (the simple coroots, one per
+simple-root index) and X[r] (one root vector per positive root), the notation
+in which every output lists ideals, subalgebras and kernels.  Brackets of
+root vectors are tracked only up to support: [X_r, X_s] is a nonzero
+multiple of X_{r+s} exactly when r+s is a root (``monomial_bracket``,
+``RootSystem.sum_index``), and every predicate downstream (ideal, abelian,
+normalizer, centralizer of monomial spans) depends only on that fact, so
+structure-constant signs are deliberately not modelled.
 """
 
 from __future__ import annotations
@@ -366,6 +375,12 @@ class RootSystem:
     def labels(self, unicode_alpha: bool = False) -> tuple[str, ...]:
         """``root_ascii`` of every positive root, by canonical index, rendered on each call."""
         return tuple(root_ascii(r, unicode_alpha) for r in self.positive_roots)
+
+
+def monomial_bracket(left: Root, right: Root, rs: RootSystem) -> Root | None:
+    """Support of [X_left, X_right]: left+right when that is a root, else None."""
+    s = rs.sum_index(rs.index_of(left), rs.index_of(right))
+    return None if s is None else rs.positive_roots[s]
 
 
 # Binary digits to the false/true selector bytes ``compress`` reads.

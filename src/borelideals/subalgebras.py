@@ -7,9 +7,10 @@ a monomial span depends only on whether r+s is a root, never on structure
 constant signs.  Subalgebras spanned by generic linear combinations (with
 free coefficients) are outside this module's scope.
 
-Every query is one walk over the members' sum rows (``_walk``): the closure
-test and the normalizer read the roots leaving the set, the abelian test and
-the centralizer the rows' union.
+Every query is one pass over the members' sum rows: ``_walk`` gives the
+closure test and the normalizer the roots leaving the set, and the abelian
+test the rows' union; the centralizer of a validated subalgebra reads only
+that union.
 """
 
 from __future__ import annotations
@@ -83,4 +84,7 @@ def monomial_centralizer(sub: MonomialSubalgebra, rs: RootSystem) -> frozenset[R
     test cannot certify that the centralizer is bracket-closed, so callers
     wanting a subalgebra should run ``is_monomial_subalgebra`` on it.
     """
-    return frozenset(rs.roots_of(rs.full_mask & ~_walk(rs.mask_of(sub.roots), rs)[1]))
+    touched = 0
+    for h in mask_indices(rs.mask_of(sub.roots)):
+        touched |= rs._sum_masks[h]
+    return frozenset(rs.roots_of(rs.full_mask & ~touched))

@@ -5,6 +5,7 @@ exactly what it loaded (and, without a bytecode cache, compiled).
 """
 
 import json
+import pkgutil
 import subprocess
 import sys
 
@@ -12,17 +13,14 @@ import pytest
 
 import borelideals
 
-# Every name ``borelideals`` exported when it imported all its submodules up front.
+# Every name ``borelideals`` exports, keyed by the submodule that defines it.
 EXPORTED = {
     "errors": ["CapacityError", "InvalidInputError", "StructuralError"],
     "roots": [
         "CartanMatrix", "Root", "RootSystem", "cartan_matrix", "coroot_pairing",
-        "dynkin_description", "generate_positive_roots", "is_root", "reflect_simple",
-        "root_ascii", "root_height", "root_sort_key", "root_system", "root_vector_str",
-    ],
-    "borel": [
-        "BasisElement", "BorelBasis", "CartanGenerator", "RootVector", "basis_element_ascii",
-        "borel_basis", "monomial_bracket", "nilradical_basis",
+        "dynkin_description", "generate_positive_roots", "is_root", "monomial_bracket",
+        "reflect_simple", "root_ascii", "root_height", "root_sort_key", "root_system",
+        "root_vector_str",
     ],
     "ideals": [
         "CartanKernelBasis", "ClassificationEntry", "IdealClassification", "MonomialIdeal",
@@ -92,6 +90,14 @@ def test_unknown_name_raises_attribute_error():
         borelideals.no_such_name
     with pytest.raises(ImportError):
         exec("from borelideals import no_such_name", {})
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(borelideals.__path__)))
+def test_no_submodule_loads_dataclasses_or_inspect(module):
+    code = f"import sys, borelideals.{module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_importing_the_package_loads_no_submodule():

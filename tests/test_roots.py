@@ -12,6 +12,7 @@ from borelideals import (
     generate_positive_roots,
     is_monomial_ideal,
     is_root,
+    monomial_bracket,
     monomial_subalgebra,
     reflect_simple,
     root_ascii,
@@ -404,6 +405,47 @@ def test_pairing_linearity(family, rank):
                 assert coroot_pairing(total, j, rs.cartan) == coroot_pairing(
                     r, j, rs.cartan
                 ) + coroot_pairing(s, j, rs.cartan)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("G", 2), ("F", 4)])
+def test_cartan_action_values_are_bounded(family, rank):
+    # evaluation of a root on a simple coroot stays within the range set by
+    # the Cartan matrix column extended over root heights
+    rs = system(family, rank)
+    bound = max(root_height(r) for r in rs.positive_roots) * 3
+    for r in rs.positive_roots:
+        for j in range(rs.rank):
+            assert abs(coroot_pairing(r, j, rs.cartan)) <= bound
+
+
+def test_monomial_bracket_values():
+    a2 = system("A", 2)
+    assert monomial_bracket((1, 0), (0, 1), a2) == (1, 1)
+    assert monomial_bracket((1, 0), (1, 1), a2) is None
+    for r in a2.positive_roots:
+        assert monomial_bracket(r, r, a2) is None
+
+
+def test_monomial_bracket_rejects_non_roots():
+    a2 = system("A", 2)
+    with pytest.raises(InvalidInputError):
+        monomial_bracket((2, 1), (0, 1), a2)
+    with pytest.raises(InvalidInputError):
+        monomial_bracket((1, 0), (0, 0), a2)
+    with pytest.raises(InvalidInputError):
+        monomial_bracket((16, 0), (1, 0), a2)  # packs to the root key of a2
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 3), ("G", 2)])
+def test_monomial_bracket_symmetric_support_and_grading(family, rank):
+    rs = system(family, rank)
+    for r in rs.positive_roots:
+        for s in rs.positive_roots:
+            one = monomial_bracket(r, s, rs)
+            other = monomial_bracket(s, r, rs)
+            assert one == other
+            if one is not None:
+                assert root_height(one) == root_height(r) + root_height(s)
 
 
 def test_is_root_membership():

@@ -3,6 +3,7 @@ import pytest
 from borelideals import (
     InvalidInputError,
     MonomialSubalgebra,
+    RootSystem,
     enumerate_nilradical_ideals,
     is_monomial_subalgebra,
     monomial_centralizer,
@@ -108,6 +109,17 @@ def test_centralizer_matches_oracle_and_sits_inside_normalizer(family, rank):
         central = monomial_centralizer(sub, rs)
         assert central == centralizer_oracle([r], rs)
         assert central <= set(monomial_normalizer(sub, rs).roots)
+
+
+def test_centralizer_reads_only_the_union_of_sum_rows(monkeypatch):
+    # a validated subalgebra is closed, so no sum needs looking up
+    rs = system("F", 4)
+    sub = monomial_subalgebra([(1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1)], rs)
+    calls = []
+    sum_index = RootSystem.sum_index
+    monkeypatch.setattr(RootSystem, "sum_index", lambda *args: calls.append(args) or sum_index(*args))
+    assert monomial_centralizer(sub, rs) == centralizer_oracle(sub.roots, rs)
+    assert calls == []
 
 
 def test_centralizer_of_highest_root_is_everything():
