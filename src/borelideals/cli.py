@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import os
 import re
@@ -37,6 +36,7 @@ from .errors import CapacityError, InvalidInputError
 from .roots import (
     Root,
     RootSystem,
+    _Lazy,
     _mask_renderer,
     dynkin_description,
     is_root,
@@ -228,7 +228,7 @@ def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
     simple = (1 << rs.rank) - 1  # an ideal's suffix depends on the simple roots it misses
     layers = _enumerate_masks(rs)
     if args.format == "json":
-        @functools.cache
+        @_Lazy
         def rest(missing: int) -> str:
             kernel, mixed = _classification(missing, rs)
             basis = _json_block([list(v) for v in kernel.vectors], 6)
@@ -239,12 +239,12 @@ def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
 
         counts = _Counts(rs)
         entry = _entry_renderer(rs, 4)
-        entries = (entry(m, a, rest(~m & simple)) for m, a in counts.walk(layers))
+        entries = (entry(m, a, rest[~m & simple]) for m, a in counts.walk(layers))
         yield from _listing_document(rs, entries, counts, note=NOTE_GENERAL_IDEALS)
         return
     u = args.unicode
 
-    @functools.cache
+    @_Lazy
     def suffix(missing: int) -> str:
         kernel, mixed = _classification(missing, rs)
         basis = "; ".join(_cartan_combo_ascii(v, u) for v in kernel.vectors) or "-"
@@ -254,7 +254,7 @@ def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
     render = _mask_renderer(rs, u)
     yield f"note: {NOTE_GENERAL_IDEALS}\n"
     for m in chain.from_iterable(layers):
-        yield f"{render(m)}{suffix(~m & simple)}\n"
+        yield f"{render(m)}{suffix[~m & simple]}\n"
 
 
 def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:

@@ -1,9 +1,12 @@
-"""Exact linear algebra over the rationals for small integer matrices."""
+"""Exact kernels of small integer matrices, found in integers by ``kernel_basis``.
+
+``rref`` is the rational row reduction, kept as the reference for the tests.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .errors import InvalidInputError
@@ -32,40 +35,36 @@ def rref(rows: Sequence[Sequence[Fraction]], width: int) -> tuple[list[list[Frac
     return m[:r], pivots
 
 
-def _primitive(vec: Sequence[Fraction]) -> IntVector:
-    """Scale a rational vector to coprime integers with positive leading entry."""
-    denom = lcm(*(x.denominator for x in vec))
-    ints = [int(x * denom) for x in vec]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v != 0), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+def _primitive(vec: Sequence[int]) -> IntVector:
+    """Divide a nonzero integer vector by its gcd, signed to a positive leading entry."""
+    g = gcd(*vec)
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return tuple(v // g for v in vec)
 
 
 def kernel_basis(rows: Sequence[Sequence[int]], width: int) -> tuple[IntVector, ...]:
     """Basis of {c : M c = 0} for the integer matrix with the given rows.
 
-    The result is normalized: basis vectors are the rows of a reduced
-    row-echelon matrix, cleared to coprime integers with positive leading
-    entries.  An empty row list yields the identity basis (the full space).
+    The vectors are the rows of the reduced row-echelon basis, cleared to
+    coprime integers with positive leading entries; no rows give the identity basis.
 
-    One reduction of the rows with their columns reversed gives it: the null
-    vector of a free column f is then 1 at f, 0 at the other free columns and
-    nonzero only after f, so with f ascending these are the reduced rows.
+    Each row cuts the basis, from the identity on: the last vector ``out``
+    with a nonzero pairing a is dropped, and each other vector v with a
+    nonzero pairing b becomes a·v − b·out, made primitive.  It is the last
+    so that the basis stays reduced: out's pivot follows those of the vectors
+    it enters, so their pivots stay; out is zero at their pivot columns; and
+    the vectors after it pair to zero and stay as they are.
     """
     for row in rows:
-        if len(row) != width:
-            raise InvalidInputError(f"row of length {len(row)} in width-{width} matrix")
-    reduced, pivots = rref([row[::-1] for row in rows], width)
-    vectors: list[IntVector] = []
-    for f in reversed(range(width)):  # reversed columns: the free ones ascending
-        if f not in pivots:
-            v: list[int | Fraction] = [0] * width
-            v[f] = 1
-            for row, c in zip(reduced, pivots):
-                v[c] = -row[f]
-            vectors.append(_primitive(v[::-1]))
-    return tuple(vectors)
+        if len(row) != width or any(type(c) is not int for c in row):  # a bool is no entry
+            raise InvalidInputError(f"row {row!r} of a width-{width} matrix is not {width} ints")
+    basis = [tuple(int(i == j) for j in range(width)) for i in range(width)]
+    for row in rows:
+        pairings = [sum(x * c for x, c in zip(v, row)) for v in basis]
+        if any(pairings):  # else the row is implied by those before it
+            k = max(i for i, b in enumerate(pairings) if b)
+            out, a = basis.pop(k), pairings.pop(k)
+            basis = [_primitive([a * x - b * y for x, y in zip(v, out)]) if b else v
+                     for v, b in zip(basis, pairings)]
+    return tuple(basis)

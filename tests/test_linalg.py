@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from borelideals import InvalidInputError
+from borelideals import InvalidInputError, linalg
 from borelideals.linalg import kernel_basis, rref
+from borelideals.roots import cartan_matrix
 
 
 def rank_by_elimination(rows, width):
@@ -93,15 +95,46 @@ def test_kernel_basis_rows_are_reduced_echelon():
         assert all(v == 0 for v in before)
 
 
-def test_row_width_mismatch_rejected():
+@pytest.mark.parametrize("rows", [[(1, 2, 3)], [(1.5, 0)], [("1", 0)], [(True, 0)]])
+def test_row_width_and_entry_type_rejected(rows):
     with pytest.raises(InvalidInputError):
-        kernel_basis([(1, 2, 3)], 2)
+        kernel_basis(rows, 2)
+
+
+def assert_reduced_kernel(rows, width, basis):
+    """Check in integers alone that ``basis`` is the normalized kernel of ``rows``.
+
+    Vectors in the kernel, as many as its dimension, with ascending pivots,
+    each pivot column zero in the other vectors, coprime entries and a
+    positive lead: only one basis has all of these.
+    """
+    assert len(basis) == width - rank_by_elimination(rows, width)
+    pivots = [next(i for i, x in enumerate(vec) if x) for vec in basis]
+    assert pivots == sorted(set(pivots))
+    for vec, p in zip(basis, pivots):
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+        assert gcd(*vec) == 1 and vec[p] > 0
+        assert all(other[p] == 0 for other in basis if other is not vec)
+
+
+def test_kernel_basis_uses_no_rational_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kernel_basis reached rational arithmetic")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    monkeypatch.setattr(linalg, "Fraction", refuse)
+    matrices = list(FIXED_MATRICES)
+    for family in "BC":  # rows and columns of these Cartan matrices differ
+        cm = cartan_matrix(family, 4)
+        matrices += [([cm[i] for i in range(4) if m >> i & 1], 4) for m in range(16)]
+    for rows, width in matrices:
+        assert_reduced_kernel(rows, width, kernel_basis(rows, width))
 
 
 @st.composite
 def integer_matrices(draw):
     """Rows of a small integer matrix and its width; zero and repeated rows come up often."""
-    width = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 8))  # up to E8's rank, so the integer combinations grow
     row = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
     return draw(st.lists(row, max_size=7)), width
 
@@ -111,9 +144,7 @@ def integer_matrices(draw):
 def test_kernel_basis_on_random_matrices(matrix):
     rows, width = matrix
     basis = kernel_basis(rows, width)
-    assert len(basis) == width - rank_by_elimination(rows, width)
-    for vec in basis:
-        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+    assert_reduced_kernel(rows, width, basis)
     # the basis is already reduced: re-reducing it gives each row back, scaled to a leading 1
     reduced, _ = rref(basis, width)
     assert len(reduced) == len(basis)
