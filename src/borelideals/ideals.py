@@ -223,7 +223,7 @@ def _enumerate_masks(rs: RootSystem, abelian: bool = False) -> Iterator[dict[int
     for h, above in enumerate(up):
         for g in mask_indices(above):
             below[1 << g].append((1 << h, above))
-    layer = {0: 1 << rs.index_of(rs.highest_root)}  # the zero ideal admits the highest root alone
+    layer = {0: 1 << len(up) - 1}  # the zero ideal admits the highest root alone, the unique tallest: the last
     while layer:
         yield layer
         groups: defaultdict[int, dict[int, int]] = defaultdict(dict)

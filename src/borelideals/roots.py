@@ -23,7 +23,7 @@ structure-constant signs are deliberately not modelled.
 from __future__ import annotations
 
 from itertools import compress, count
-from operator import add
+from operator import add, gt
 from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidInputError, StructuralError
@@ -190,10 +190,10 @@ def _climb(cartan: CartanMatrix) -> tuple[tuple[Root, ...], dict[int, int], list
 
     For a root r other than alpha_j, r + alpha_j is a root exactly when p >
     <r, alpha_j^v>, where p is the length of the alpha_j-string below r, r -
-    alpha_j, ..., r - p alpha_j (Humphreys, section 9.4).  Every root of a
-    lower height is known by then, so p takes key lookups.  Each root carries
-    its pairings with the simple coroots; those of r + alpha_j add row j of
-    the Cartan matrix.
+    alpha_j, ..., r - p alpha_j (Humphreys, section 9.4).  So r - alpha_j is a
+    root exactly when r was made from it, with a string one shorter: each root
+    carries its p for each j, the roots it was made from and its pairings with
+    the simple coroots (those of r + alpha_j add row j of the Cartan matrix).
     """
     rank = len(cartan)
     for i, row in enumerate(cartan):
@@ -205,28 +205,28 @@ def _climb(cartan: CartanMatrix) -> tuple[tuple[Root, ...], dict[int, int], list
 
     units = [1 << _KEY_BITS * j for j in range(rank)]
     roots: list[Root] = []
-    index: dict[int, int] = {}  # key -> canonical index, filled in canonical order
+    index: dict[int, int] = {}  # key -> canonical index, in canonical order; the climb only writes it
     up: list[int] = []
-    # (root, key, pairings) of one height; the simple roots pair by their Cartan rows
-    level = [(tuple(int(i == j) for i in range(rank)), units[j], cartan[j]) for j in range(rank)]
+    # (root, key, pairings, p per j, indices of the roots r - alpha_j) of one height;
+    # a simple root pairs by its Cartan row, and no root lies below it
+    level = [(tuple(int(i == j) for i in range(rank)), units[j], cartan[j], [0] * rank, []) for j in range(rank)]
     while level:
         level.sort(reverse=True)  # descending coefficient vectors: canonical order within a height
-        fresh: dict[int, tuple[Root, int, tuple[int, ...]]] = {}
-        for r, key, pairings in level:
+        fresh: dict[int, tuple[Root, int, tuple[int, ...], list[int], list[int]]] = {}
+        for r, key, pairings, strings, below in level:
             g = index[key] = len(roots)
             roots.append(r)
             up.append(0)
-            for j, unit in enumerate(units):
-                p = 0
-                while p < r[j] and key - (p + 1) * unit in index:
-                    p += 1
-                if p:  # r - alpha_j is a root
-                    up[index[key - unit]] |= 1 << g
-                if p > pairings[j] and key + unit not in fresh:
+            for h in below:
+                up[h] |= 1 << g
+            for j, unit in compress(enumerate(units), map(gt, strings, pairings)):  # p > <r, alpha_j^v>
+                if key + unit not in fresh:
                     if r[j] + 1 > MAX_COEFFICIENT:
                         raise InvalidInputError("Cartan matrix is not of finite type")
                     above = r[:j] + (r[j] + 1,) + r[j + 1 :]
-                    fresh[key + unit] = (above, key + unit, tuple(map(add, pairings, cartan[j])))
+                    fresh[key + unit] = above, key + unit, tuple(map(add, pairings, cartan[j])), [0] * rank, []
+                fresh[key + unit][3][j] = strings[j] + 1
+                fresh[key + unit][4].append(g)
         level = list(fresh.values())
     return tuple(roots), index, up
 

@@ -8,9 +8,9 @@ constant signs.  Subalgebras spanned by generic linear combinations (with
 free coefficients) are outside this module's scope.
 
 Every query is one pass over the members' sum rows: ``_walk`` gives the
-closure test and the normalizer the roots leaving the set, and the abelian
-test the rows' union; the centralizer of a validated subalgebra reads only
-that union.
+closure test and the normalizer the roots leaving the set, the ideal test
+whether a simple root is among them, and the abelian test the rows' union;
+the centralizer of a validated subalgebra reads only that union.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ def _walk(mask: int, rs: RootSystem) -> tuple[int, int]:
     """The roots g with g + s a root outside the set, and with g + s a root, for some member s.
 
     Root addition is symmetric, so each member's sum row is read once.  The
-    set is closed when no member leaves it, abelian when none is in the union.
+    set is closed when no member leaves it, an ideal when no simple root
+    does, abelian when no member is in the union.
     """
     leaving = touched = 0
     for h in mask_indices(mask):

@@ -113,17 +113,17 @@ def test_roots_loads_only_errors_and_roots(fmt):
 
 
 @pytest.mark.parametrize(
-    "argv,ideals",
+    "argv",
     [
-        (["normalizer", "A", "40", "--set", "a1, a1+a2"], False),
-        (["centralizer", "D", "24", "--set", "a1", "--format", "json"], False),
-        (["check", "B", "20", "--set", "a1, a2"], True),
+        ["normalizer", "A", "40", "--set", "a1, a1+a2"],
+        ["centralizer", "D", "24", "--set", "a1", "--format", "json"],
+        ["check", "B", "20", "--set", "a1, a2"],
     ],
     ids=["normalizer", "centralizer", "check"],
 )
-def test_set_queries_load_no_lattice_or_linear_algebra(argv, ideals):
-    want = {"cli", "errors", "roots", "subalgebras"} | ({"ideals"} if ideals else set())
-    assert loaded(*argv) == want
+def test_set_queries_load_no_lattice_or_linear_algebra(argv):
+    # one walk of the members' sum rows answers every query, the ideal test included
+    assert loaded(*argv) == {"cli", "errors", "roots", "subalgebras"}
 
 
 @pytest.mark.parametrize(

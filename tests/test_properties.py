@@ -79,12 +79,25 @@ def test_centralizer_lies_inside_normalizer(case):
     assert monomial_centralizer(sub, rs) <= set(monomial_normalizer(sub, rs).roots)
 
 
+def up_closure(roots, rs):
+    """Smallest superset of ``roots`` closed under adding simple roots, when the sum is a root."""
+    members = set(rs.positive_roots)
+    closed, todo = set(roots), list(roots)
+    while todo:
+        r = todo.pop()
+        for s in {add(r, a) for a in rs.simple_roots} & members - closed:
+            closed.add(s)
+            todo.append(s)
+    return frozenset(closed)
+
+
 @PROPERTY_SETTINGS
-@given(root_sets(), st.booleans())
-def test_check_json_agrees_with_library_predicates(case, closed):
+@given(root_sets(), st.sampled_from([None, sum_closure, up_closure]))
+def test_check_json_agrees_with_library_predicates(case, closure):
     rs, roots = case
-    if closed:
-        roots = sum_closure(roots, rs)
+    if closure:
+        roots = closure(roots, rs)
+    assert is_monomial_ideal(roots, rs) == (up_closure(roots, rs) == roots)
     literal = ", ".join(root_ascii(r) for r in roots)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -68,8 +68,19 @@ def closure_is_fixed_point(rs) -> bool:
     return True
 
 
-# Large ranks, up to the command line's cap of 4096 positive roots (A90).
-LARGE_SYSTEMS = [("A", 90), ("B", 30), ("C", 30), ("D", 45)]
+def index_of_sum(rs, r, s):
+    return rs._position.get(tuple(a + b for a, b in zip(r, s)))
+
+
+def up_mask_by_tuple_addition(rs, r):
+    ups = (index_of_sum(rs, r, a) for a in rs.simple_roots)
+    return sum(1 << u for u in ups if u is not None)
+
+
+# The largest rank of each classical family under the command line's cap of
+# 4096 positive roots, and ranks between those and the table systems.
+LARGE_SYSTEMS = [("A", 90), ("B", 64), ("C", 64), ("D", 64)]
+MIDDLE_SYSTEMS = [("B", 30), ("C", 30), ("D", 45)]
 
 
 def _from_epsilon(family, rank, v):
@@ -255,17 +266,19 @@ def test_positive_root_count_closed_form_matches_the_exponents(family, ranks):
         assert positive_root_count(family, rank) == rank * h // 2
 
 
-@pytest.mark.parametrize("family,rank", LARGE_SYSTEMS)
+@pytest.mark.parametrize("family,rank", LARGE_SYSTEMS + MIDDLE_SYSTEMS)
 def test_large_rank_counts_and_closure(family, rank):
+    """Counts and closure, and ``_up_masks`` against tuple addition (the sum rows are O(n^2))."""
     rs = roots.root_system(family, rank)
     count = {"A": rank * (rank + 1) // 2, "B": rank**2, "C": rank**2, "D": rank * (rank - 1)}
     assert len(rs.positive_roots) == count[family] == positive_root_count(family, rank)
     assert closure_is_fixed_point(rs)
+    assert list(rs._up_masks) == [up_mask_by_tuple_addition(rs, r) for r in rs.positive_roots]
 
 
 @pytest.mark.parametrize(
     "family,rank",
-    [*LARGE_SYSTEMS, ("A", 1), ("A", 7), ("B", 2), ("B", 5), ("C", 2), ("C", 6), ("D", 3)],
+    [*LARGE_SYSTEMS, *MIDDLE_SYSTEMS, ("A", 1), ("A", 7), ("B", 2), ("B", 5), ("C", 2), ("C", 6), ("D", 3)],
 )
 def test_roots_match_epsilon_basis_lists(family, rank):
     expected = tuple(sorted(_epsilon_roots(family, rank), key=root_sort_key))
@@ -301,13 +314,9 @@ def test_queries_build_only_the_sum_rows_of_the_set(argv, rows, monkeypatch, cap
 def test_root_tables_match_tuple_addition(family, rank):
     rs = system(family, rank)
 
-    def index_of_sum(r, s):
-        return rs._position.get(tuple(a + b for a, b in zip(r, s)))
-
     for g, r in enumerate(rs.positive_roots):
-        ups = [index_of_sum(r, a) for a in rs.simple_roots]
-        assert rs._up_masks[g] == sum(1 << u for u in ups if u is not None)
-        sums = [index_of_sum(r, s) for s in rs.positive_roots]
+        assert rs._up_masks[g] == up_mask_by_tuple_addition(rs, r)
+        sums = [index_of_sum(rs, r, s) for s in rs.positive_roots]
         assert rs._sum_masks[g] == sum(1 << h for h, t in enumerate(sums) if t is not None)
         assert [rs.sum_index(g, h) for h in range(len(sums))] == sums
 
