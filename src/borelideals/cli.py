@@ -232,6 +232,7 @@ def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
         def rest(missing: int) -> str:
             kernel, mixed = _classification(missing, rs)
             basis = _json_block([list(v) for v in kernel.vectors], 6)
+            del rs._kernels[missing]  # the text holds the kernel from here on
             return (
                 f',\n      "kernel_dimension": {kernel.dimension}'
                 f',\n      "kernel_basis": {basis},\n      "mixed": {json.dumps(mixed)}'
@@ -248,6 +249,7 @@ def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
     def suffix(missing: int) -> str:
         kernel, mixed = _classification(missing, rs)
         basis = "; ".join(_cartan_combo_ascii(v, u) for v in kernel.vectors) or "-"
+        del rs._kernels[missing]
         mark = " | mixed" if mixed else ""
         return f" | kernel dim {kernel.dimension} | kernel basis: {basis}{mark}"
 

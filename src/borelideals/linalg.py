@@ -1,38 +1,16 @@
-"""Exact kernels of small integer matrices, found in integers by ``kernel_basis``.
+"""Exact kernels of small integer matrices, found in integers alone by ``kernel_basis``.
 
-``rref`` is the rational row reduction, kept as the reference for the tests.
+No rational arithmetic is used: each kernel vector is kept primitive by a gcd.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
 from .errors import InvalidInputError
 
 IntVector = tuple[int, ...]
-
-
-def rref(rows: Sequence[Sequence[Fraction]], width: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row-echelon form; returns the nonzero rows and pivot columns."""
-    m = [list(map(Fraction, row)) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        lead = m[r][c]
-        m[r] = [x / lead for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
 
 
 def _primitive(vec: Sequence[int]) -> IntVector:

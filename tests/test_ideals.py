@@ -499,6 +499,24 @@ def test_cartan_kernel_reduces_once_per_missing_set(monkeypatch):
     assert len(calls) == reduced  # the classification reads the same kernels
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_classify_command_reduces_once_per_missing_set(monkeypatch, capsys, fmt):
+    # the command renders each missing set's suffix once, and drops its kernel
+    # then, so each of the 2^6 kernels of A6 is made once for its 429 ideals
+    from borelideals import linalg
+
+    calls = []
+
+    def counted(rows, width):
+        calls.append(len(rows))
+        return kernel_basis(rows, width)
+
+    monkeypatch.setattr(linalg, "kernel_basis", counted)
+    assert run(["classify", "A", "6", "--format", fmt]) == 0
+    assert capsys.readouterr().out
+    assert 0 < len(calls) <= 1 << 6
+
+
 @pytest.mark.parametrize(
     "family,rank",
     [("A", 6), ("B", 5), ("C", 5), ("D", 6), ("E", 6), ("E", 7), ("F", 4), ("G", 2)],
