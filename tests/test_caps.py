@@ -1,0 +1,76 @@
+"""The caps checker (``tests/caps.py``) on small systems.
+
+Each closed-form check accepts a stream made in process, fed in blocks small
+enough that lines and root labels straddle them, and rejects the stream with
+one planted fault.  The runner passes a right row and names a wrong one.
+"""
+
+import hashlib
+import re
+
+import pytest
+
+from borelideals.cli import run
+from caps import abelian_ok, ideals_ok, kernels_ok, lattice_ok, roots_ok
+from caps import run as run_row
+
+CHECKS = {
+    "classify B 4": kernels_ok,
+    "lattice A 5": lattice_ok,
+    "lattice C 4 --format dot": lattice_ok,
+    "ideals A 6": ideals_ok,
+    "ideals A 6 --format json": ideals_ok,
+    "roots A 8": roots_ok,
+    "roots A 8 --unicode": roots_ok,
+    "roots B 5": roots_ok,
+    "roots C 5": roots_ok,
+    "roots D 5": roots_ok,
+    "abelian B 4": abelian_ok,
+    "abelian B 4 --format json": abelian_ok,
+}
+
+
+def stdout(command, capsys):
+    assert run(command.split()) == 0
+    return capsys.readouterr().out.encode()
+
+
+def blocks(data, size):
+    return (data[i : i + size] for i in range(0, len(data), size))
+
+
+@pytest.mark.parametrize("size", [7, 1 << 20])
+@pytest.mark.parametrize("command", CHECKS)
+def test_each_check_accepts_its_stream(command, size, capsys):
+    assert CHECKS[command](command.split(), blocks(stdout(command, capsys), size))
+
+
+@pytest.mark.parametrize(
+    "command,fault,planted",
+    [
+        ("classify B 4", rb"kernel basis: (?=[\dH])", b"kernel basis: -"),  # one kernel sign flipped
+        ("classify B 4", rb" \| mixed", b""),
+        ("lattice A 5", rb"\n\d+ -> \d+\n", b"\n"),  # one cover line dropped
+        ("lattice C 4 --format dot", rb"\n  n\d+ -> n\d+;\n", b"\n"),
+        ("ideals A 6", rb"\n[^\n]+\n", b"\n"),  # one ideal line dropped
+        ("ideals A 6 --format json", rb'\n *"dimension": \d+,\n', b"\n"),
+        ("abelian B 4", rb"\n[^\n]+\n", b"\n"),
+        ("roots A 8", rb", a1\+a2,", b", a1+a3,"),  # one root label changed
+        ("roots D 5", rb", a3\+a5,", b", a3+a4,"),
+    ],
+)
+def test_each_check_rejects_a_planted_fault(command, fault, planted, capsys):
+    data, n = re.subn(fault, planted, stdout(command, capsys), count=1)
+    assert n == 1
+    assert not CHECKS[command](command.split(), blocks(data, 7))
+
+
+def test_the_runner_passes_a_right_row_and_names_a_wrong_one(capsys):
+    sha256 = hashlib.sha256(stdout("roots A 3", capsys)).hexdigest()
+    assert run_row("roots A 3", sha256, roots_ok, 20)
+    line = capsys.readouterr().out
+    assert re.fullmatch(rf"roots A 3: [\d.]+ s, [\d.]+ MiB, sha256 {sha256}, ok\n", line)
+    assert not run_row("roots A 3", "0" * 64)
+    assert capsys.readouterr().out.endswith(", sha256\n")
+    assert not run_row("roots A 3", sha256, kernels_ok, limit=0)
+    assert capsys.readouterr().out.endswith(", check, over 0 s\n")

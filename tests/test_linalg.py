@@ -117,8 +117,8 @@ def assert_reduced_kernel(rows, width, basis):
     Vectors in the kernel, as many as its dimension (by ``rref``), with
     ascending pivots, each pivot column zero in the other vectors, coprime
     entries and a positive lead: only one basis has all of these.  The
-    caps script ``tests/kernel_caps.py`` checks the ``classify`` kernels
-    with it too.
+    caps checker ``tests/caps.py`` checks the ``classify`` kernels with it
+    too.
     """
     assert len(basis) == width - len(rref(rows, width)[0])
     pivots = [next(i for i, x in enumerate(vec) if x) for vec in basis]
