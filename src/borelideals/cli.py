@@ -210,7 +210,7 @@ def _cmd_ideals(args, rs: RootSystem) -> Iterator[str]:
 
 
 def _cmd_abelian(args, rs: RootSystem) -> Iterator[str]:
-    from .ideals import _abelian_masks, _Counts, _enumerate_masks
+    from .ideals import _Counts, _enumerate_masks
 
     if args.format == "json":
         # walks every layer: the counts cover all ideals
@@ -219,7 +219,7 @@ def _cmd_abelian(args, rs: RootSystem) -> Iterator[str]:
         entries = (entry(m, True) for m, a in counts.walk(_enumerate_masks(rs)) if a)
         yield from _listing_document(rs, entries, counts)
     else:
-        yield from _text_lines(_abelian_masks(rs), _mask_renderer(rs, args.unicode))
+        yield from _text_lines(_enumerate_masks(rs, abelian=True), _mask_renderer(rs, args.unicode))
 
 
 def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
@@ -227,32 +227,28 @@ def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
 
     simple = (1 << rs.rank) - 1  # an ideal's suffix depends on the simple roots it misses
     layers = _enumerate_masks(rs)
-    if args.format == "json":
-        @_Lazy
-        def rest(missing: int) -> str:
-            kernel, mixed = _classification(missing, rs)
-            basis = _json_block([list(v) for v in kernel.vectors], 6)
-            del rs._kernels[missing]  # the text holds the kernel from here on
-            return (
-                f',\n      "kernel_dimension": {kernel.dimension}'
-                f',\n      "kernel_basis": {basis},\n      "mixed": {json.dumps(mixed)}'
-            )
-
-        counts = _Counts(rs)
-        entry = _entry_renderer(rs, 4)
-        entries = (entry(m, a, rest[~m & simple]) for m, a in counts.walk(layers))
-        yield from _listing_document(rs, entries, counts, note=NOTE_GENERAL_IDEALS)
-        return
     u = args.unicode
 
     @_Lazy
     def suffix(missing: int) -> str:
         kernel, mixed = _classification(missing, rs)
+        del rs._kernels[missing]  # the text holds the kernel from here on
+        if args.format == "json":
+            basis = _json_block([list(v) for v in kernel.vectors], 6)
+            return (
+                f',\n      "kernel_dimension": {kernel.dimension}'
+                f',\n      "kernel_basis": {basis},\n      "mixed": {json.dumps(mixed)}'
+            )
         basis = "; ".join(_cartan_combo_ascii(v, u) for v in kernel.vectors) or "-"
-        del rs._kernels[missing]
         mark = " | mixed" if mixed else ""
         return f" | kernel dim {kernel.dimension} | kernel basis: {basis}{mark}"
 
+    if args.format == "json":
+        counts = _Counts(rs)
+        entry = _entry_renderer(rs, 4)
+        entries = (entry(m, a, suffix[~m & simple]) for m, a in counts.walk(layers))
+        yield from _listing_document(rs, entries, counts, note=NOTE_GENERAL_IDEALS)
+        return
     render = _mask_renderer(rs, u)
     yield f"note: {NOTE_GENERAL_IDEALS}\n"
     for m in chain.from_iterable(layers):
@@ -290,25 +286,16 @@ def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:
             yield f"{a} -> {b}\n"
 
 
-def _set_answer(args, rs: RootSystem, name: str, mask: int, result: int) -> Iterator[str]:
+def _cmd_set_query(args, rs: RootSystem) -> Iterator[str]:
+    """``normalizer`` or ``centralizer``: the roots outside the ``leaving`` or ``touched`` mask of ``_closed``."""
+    from .subalgebras import _closed
+
+    mask = rs.mask_of(parse_root_set(args.set, rs))
+    result = rs.full_mask & ~_closed(mask, rs)[args.command == "centralizer"]
     if args.format == "json":
-        yield _json_document(rs, set=_vectors(rs.roots_of(mask)), **{name: _vectors(rs.roots_of(result))})
+        yield _json_document(rs, set=_vectors(rs.roots_of(mask)), **{args.command: _vectors(rs.roots_of(result))})
     else:
         yield _mask_renderer(rs, args.unicode)(result) + "\n"
-
-
-def _cmd_normalizer(args, rs: RootSystem) -> Iterator[str]:
-    from .subalgebras import _closed
-
-    mask = rs.mask_of(parse_root_set(args.set, rs))
-    yield from _set_answer(args, rs, "normalizer", mask, rs.full_mask & ~_closed(mask, rs)[0])
-
-
-def _cmd_centralizer(args, rs: RootSystem) -> Iterator[str]:
-    from .subalgebras import _closed
-
-    mask = rs.mask_of(parse_root_set(args.set, rs))
-    yield from _set_answer(args, rs, "centralizer", mask, rs.full_mask & ~_closed(mask, rs)[1])
 
 
 def _cmd_check(args, rs: RootSystem) -> Iterator[str]:
@@ -379,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("abelian", _cmd_abelian, "abelian monomial ideals, zero ideal included")
     add("classify", _cmd_classify, "monomial ideals with their admissible Cartan kernels")
     add("lattice", _cmd_lattice, "inclusion lattice of the ideals", formats=("text", "json", "dot"))
-    add("normalizer", _cmd_normalizer, "normalizer of a monomial subalgebra in the nilradical", needs_set=True)
-    add("centralizer", _cmd_centralizer, "root vectors commuting with a monomial subalgebra", needs_set=True)
+    add("normalizer", _cmd_set_query, "normalizer of a monomial subalgebra in the nilradical", needs_set=True)
+    add("centralizer", _cmd_set_query, "root vectors commuting with a monomial subalgebra", needs_set=True)
     add("check", _cmd_check, "test a root set for ideal/subalgebra/abelian properties", needs_set=True)
     return parser
 

@@ -7,7 +7,8 @@ contained in the nilradical.  Enumeration proceeds one dimension at a time
 from the zero ideal, making each ideal once from its canonical parent, the
 ideal without its lowest root; a brute-force subset filter doubles as an
 independent oracle on small systems.  Pruned to abelian children, the same
-search makes the 2^rank abelian ideals alone; an abelian flag is membership.
+search makes the 2^rank abelian ideals alone (Peterson); an abelian flag is
+membership in them, and their number is a listing's abelian total.
 
 General ideals are the monomial ones enriched by a Cartan part: for a fixed
 root set, the admissible Cartan vectors are exactly those annihilated by
@@ -23,7 +24,7 @@ function returns them.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import islice
+from itertools import groupby, islice
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, NamedTuple
 
 from .errors import CapacityError, InvalidInputError
@@ -65,14 +66,6 @@ def ideal_ascii(ideal: MonomialIdeal, unicode_alpha: bool = False) -> str:
     return "[" + ", ".join(f"X[{root_ascii(r, unicode_alpha)}]" for r in ideal.roots) + "]"
 
 
-def _layered(masks: Iterable[int]) -> list[list[int]]:
-    """Masks split into layers of equal dimension, in rising dimension, each in input order."""
-    layers: dict[int, list[int]] = {}
-    for mask in masks:
-        layers.setdefault(mask.bit_count(), []).append(mask)
-    return [layers[d] for d in sorted(layers)]
-
-
 def _is_abelian_mask(mask: int, rs: RootSystem) -> bool:
     """Whether no two roots of the mask (repeats allowed) sum to a root."""
     sums = rs._sum_masks
@@ -83,7 +76,7 @@ class DimensionCounts(NamedTuple):
     """Histogram of ideal dimensions plus the totals used in reports.
 
     ``by_dimension`` covers nonzero ideals only; ``abelian_total`` includes
-    the zero ideal (which is abelian by convention).
+    the zero ideal (which is abelian by convention).  Built by ``_dimension_counts``.
     """
 
     by_dimension: dict[int, int]
@@ -92,40 +85,35 @@ class DimensionCounts(NamedTuple):
     abelian_total: int
 
 
+def _dimension_counts(histogram: dict[int, int], abelian: int) -> DimensionCounts:
+    """Counts of ``histogram[d]`` nonzero ideals of each dimension d and ``abelian`` abelian ones, zero included."""
+    nonzero = sum(histogram.values())
+    return DimensionCounts(dict(sorted(histogram.items())), nonzero, nonzero + 1, abelian)
+
+
 class _Counts:
-    """Abelian flags and ``DimensionCounts`` of ideal masks, fed a layer of equal dimension at a time.
+    """Abelian flags and ``DimensionCounts`` of a listing, fed a layer of equal dimension at a time.
 
     A mask is flagged abelian by membership in the 2^rank masks of the
-    pruned search (``_abelian_masks``), so any layers, in any order, are
-    flagged and counted alike.
+    pruned search, zero included (Peterson), so ``abelian_total`` is the size
+    of that set.  That is exact because every caller of ``result`` walks every
+    ideal: the ``ideals`` JSON (with ``--oracle`` too), the ``abelian`` JSON
+    and the ``classify`` JSON.
     """
 
     def __init__(self, rs: RootSystem) -> None:
-        self.abelian_masks = frozenset(m for layer in _abelian_masks(rs) for m in layer)
+        self.abelian_masks = frozenset(m for layer in _enumerate_masks(rs, abelian=True) for m in layer)
         self.histogram: dict[int, int] = {}
-        self.abelian = 0
-
-    def flags(self, layer: Collection[int]) -> list[bool]:
-        """Abelian flag of each mask of a layer, counting the layer unless it is the zero ideal."""
-        flags = list(map(self.abelian_masks.__contains__, layer))
-        if dimension := next(iter(layer)).bit_count():
-            self.histogram[dimension] = len(layer)
-            self.abelian += sum(flags)
-        return flags
 
     def walk(self, layers: Iterable[Collection[int]]) -> Iterator[tuple[int, bool]]:
-        """Each mask of the layers with its abelian flag, every layer flagged and counted."""
+        """Each mask of the layers with its abelian flag, the size of each nonzero layer recorded."""
         for layer in layers:
-            yield from zip(layer, self.flags(layer))
+            if dimension := next(iter(layer)).bit_count():
+                self.histogram[dimension] = len(layer)
+            yield from zip(layer, map(self.abelian_masks.__contains__, layer))
 
     def result(self) -> DimensionCounts:
-        nonzero = sum(self.histogram.values())
-        return DimensionCounts(
-            by_dimension=dict(sorted(self.histogram.items())),
-            nonzero_total=nonzero,
-            with_zero_total=nonzero + 1,
-            abelian_total=1 + self.abelian,
-        )
+        return _dimension_counts(self.histogram, len(self.abelian_masks))
 
 
 def _ideal_from_mask(mask: int, rs: RootSystem) -> MonomialIdeal:
@@ -261,7 +249,9 @@ def _brute_force_masks(rs: RootSystem, max_positive_roots: int = _ORACLE_CAP) ->
             f"{rs.family}{rs.rank} has {n} positive roots; brute force is capped at "
             f"{max_positive_roots} (2^{n} subsets)"
         )
-    return _layered(sorted((m for m in range(1 << n) if _is_ideal_mask(m, rs)), key=mask_indices))
+    closed = (m for m in range(1 << n) if _is_ideal_mask(m, rs))
+    masks = sorted(closed, key=lambda m: (m.bit_count(), mask_indices(m)))
+    return [list(layer) for _, layer in groupby(masks, int.bit_count)]
 
 
 def is_abelian(ideal: MonomialIdeal, rs: RootSystem) -> bool:
@@ -271,12 +261,7 @@ def is_abelian(ideal: MonomialIdeal, rs: RootSystem) -> bool:
 
 def abelian_ideals(rs: RootSystem) -> tuple[MonomialIdeal, ...]:
     """All abelian monomial ideals including the zero ideal, canonically sorted."""
-    return tuple(_ideal_from_mask(m, rs) for layer in _abelian_masks(rs) for m in layer)
-
-
-def _abelian_masks(rs: RootSystem) -> Iterator[dict[int, int]]:
-    """Abelian ideal masks a layer at a time, zero first: 2^rank of them (Peterson)."""
-    return _enumerate_masks(rs, abelian=True)
+    return tuple(_ideal_from_mask(m, rs) for layer in _enumerate_masks(rs, abelian=True) for m in layer)
 
 
 class CartanKernelBasis(NamedTuple):

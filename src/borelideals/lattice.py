@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidInputError
@@ -10,10 +11,10 @@ from .ideals import (
     DimensionCounts,
     MonomialIdeal,
     _Counts,
+    _dimension_counts,
     _enumerate_masks,
     _ideal_from_mask,
     _ideal_mask,
-    _layered,
     ideal_ascii,
     nonzero_ideal_count,
 )
@@ -73,12 +74,11 @@ def _cover_edges(rs: RootSystem) -> Iterator[tuple[int, int]]:
 def counts_by_dimension(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> DimensionCounts:
     """Count nonzero ideals per dimension, totals with/without zero, and abelian.
 
-    Any set of ideals is counted; a non-ideal raises ``InvalidInputError``.
+    Any set of ideals is counted, a repeated one once; a non-ideal raises ``InvalidInputError``.
     """
-    counts = _Counts(rs)
-    for layer in _layered({_ideal_mask(j, rs) for j in ideals} - {0}):
-        counts.flags(layer)
-    return counts.result()
+    masks = {_ideal_mask(j, rs) for j in ideals} - {0}
+    abelian = 1 + len(masks & _Counts(rs).abelian_masks)  # the zero ideal is abelian
+    return _dimension_counts(Counter(map(int.bit_count, masks)), abelian)
 
 
 class DotOptions(NamedTuple):

@@ -4,10 +4,14 @@
 
 pytest does not collect this file.  ``run`` spawns a row's command once and
 reads its stdout in 1 MiB blocks, hashed as the row's check reads them; no line
-is held.  A row fails on a nonzero exit, a wrong sha256, a failed check, a peak
-RSS over 64 MiB or a run past its time limit; the exit status is 1 if any did.
+is held.  The pipe is widened from 64 KiB to 1 MiB, so the child writes ahead
+of the reads instead of waiting on each one.  A row fails on a nonzero exit, a
+wrong sha256, a failed check, a peak RSS over 64 MiB or a run past its time
+limit; the exit status is 1 if any did.
 """
 
+import contextlib
+import fcntl
 import hashlib
 import math
 import re
@@ -44,14 +48,15 @@ assert len(SETS["HIGH"]) < 1 << 17
 # or the comma between root labels), so that no match straddles two pieces and
 # the 7-8 GB JSON listings are read by one regex per piece.
 def pieces(blocks, sep=b"\n"):
-    """The stream in pieces, each cut just before a ``sep``."""
+    """The stream in pieces, each cut just before a ``sep``; a block's bytes are copied once, into a piece."""
     tail = b""
     for block in blocks:
-        tail += block
-        cut = tail.rfind(sep)
-        if cut > 0:
-            yield tail[:cut]
-            tail = tail[cut:]
+        cut = block.rfind(sep)
+        if cut < 0:
+            tail += block
+        else:
+            yield b"".join((tail, memoryview(block)[:cut]))
+            tail = block[cut:]
     yield tail
 
 
@@ -208,6 +213,8 @@ def run(command, sha256, check=None, limit=math.inf):
     argv = [SETS.get(word, word) for word in command.split()]
     start = time.monotonic()
     child = subprocess.Popen([sys.executable, "-c", CHILD, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with contextlib.suppress(OSError):  # a system may cap pipes below 1 MiB
+        fcntl.fcntl(child.stdout, fcntl.F_SETPIPE_SZ, 1 << 20)
     digest = hashlib.sha256()
     stream = (digest.update(block) or block for block in iter(lambda: child.stdout.read(1 << 20), b""))
     try:

@@ -175,10 +175,12 @@ def test_every_abelian_flag_path_agrees_with_the_closed_forms(family, rank, caps
     # first layer without an abelian one
     rs = system(family, rank)
     top = malcev_dimension(family, rank)
-    for command in ("ideals", "abelian", "classify"):
+    # the ideals listing leaves the zero ideal out, the other two list it
+    for command, listed in (("ideals", 2**rank - 1), ("abelian", 2**rank), ("classify", 2**rank)):
         payload = cli_json([command, family, str(rank)], capsys)
         assert payload["counts"]["abelian_total"] == 2**rank
         flagged = [e["dimension"] for e in payload["ideals"] if e["abelian"]]
+        assert len(flagged) == listed
         assert max(flagged) == top
     lattice = cli_json(["lattice", family, str(rank)], capsys)["lattice"]
     assert sum(node["abelian"] for node in lattice["nodes"]) == 2**rank
