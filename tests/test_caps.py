@@ -3,20 +3,29 @@
 Each closed-form check accepts a stream made in process, fed in blocks small
 enough that lines and root labels straddle them, and rejects the stream with
 one planted fault.  The runner passes a right row and names a wrong one.
+The checker and its references import without pytest, hypothesis or the
+program.
 """
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from borelideals.cli import run
-from caps import abelian_ok, ideals_ok, kernels_ok, lattice_ok, roots_ok
+from caps import CHECKS as CAP_CHECKS
+from caps import LIMITS, abelian_ok, ideals_ok, kernels_ok, lattice_json_ok, lattice_ok, roots_ok
 from caps import run as run_row
+from pins import CAP, PINS
 
 CHECKS = {
     "classify B 4": kernels_ok,
     "lattice A 5": lattice_ok,
+    "lattice A 5 --format json": lattice_json_ok,
     "lattice C 4 --format dot": lattice_ok,
     "ideals A 6": ideals_ok,
     "ideals A 6 --format json": ideals_ok,
@@ -52,6 +61,8 @@ def test_each_check_accepts_its_stream(command, size, capsys):
         ("classify B 4", rb" \| mixed", b""),
         ("lattice A 5", rb"\n\d+ -> \d+\n", b"\n"),  # one cover line dropped
         ("lattice C 4 --format dot", rb"\n  n\d+ -> n\d+;\n", b"\n"),
+        ("lattice A 5 --format json", rb"\[\s*\d+,\s*\d+\s*\],\s*", b""),  # one edge dropped
+        ("lattice A 5 --format json", rb'"abelian": true', b'"abelian": false'),  # one flag flipped
         ("ideals A 6", rb"\n[^\n]+\n", b"\n"),  # one ideal line dropped
         ("ideals A 6 --format json", rb'\n *"dimension": \d+,\n', b"\n"),
         ("abelian B 4", rb"\n[^\n]+\n", b"\n"),
@@ -74,3 +85,32 @@ def test_the_runner_passes_a_right_row_and_names_a_wrong_one(capsys):
     assert capsys.readouterr().out.endswith(", sha256\n")
     assert not run_row("roots A 3", sha256, kernels_ok, limit=0)
     assert capsys.readouterr().out.endswith(", check, over 0 s\n")
+
+
+def test_every_check_and_limit_names_a_cap_row():
+    caps = {command for command, pin in PINS.items() if CAP in pin}
+    assert len(caps) == 28 and set(CAP_CHECKS) | set(LIMITS) <= caps
+
+
+# Imports the modules named on the command line with pytest and hypothesis
+# blocked, then names the program's modules that were loaded.
+ISOLATED = """
+import importlib, sys
+sys.modules["pytest"] = sys.modules["hypothesis"] = None
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(sorted(name for name in sys.modules if name.startswith("borelideals")))
+"""
+
+
+@pytest.mark.parametrize("module", ["reference", "caps"])
+def test_imports_without_the_program_or_the_test_tools(module):
+    # the program is importable, so a module that reached for it would load it
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests), str(tests.parent / "src")])
+    proc = subprocess.run(
+        [sys.executable, "-c", ISOLATED, module], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

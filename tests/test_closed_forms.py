@@ -19,14 +19,13 @@ code under test:
   Dynkin subdiagram on M (Panyushev): they are the ideals of the parabolic
   subsystem Phi_M that hold none of its simple roots.
 
-Past the subset oracle, the search is also checked against the antichains of
-the root poset (``conftest.antichain_ideals``): each ideal is the up-closure
-of the antichain of its minimal roots.
+The formulas are in ``tests/reference.py``.  Past the subset oracle, the
+search is also checked against the antichains of the root poset
+(``conftest.antichain_ideals``): each ideal is the up-closure of the
+antichain of its minimal roots.
 """
 
 import json
-from fractions import Fraction
-from math import comb
 
 import pytest
 
@@ -37,55 +36,18 @@ from borelideals import (
     counts_by_dimension,
     enumerate_nilradical_ideals,
     extension_candidates,
-    generate_positive_roots,
     is_abelian,
 )
 from borelideals import ideals as ideals_module
 from borelideals.cli import run
 from borelideals.ideals import _enumerate_masks
 from conftest import antichain_ideals, system
-
-
-def malcev_dimension(family, rank):
-    """Dimension of the largest abelian ideal (B for rank >= 4, D for rank >= 4)."""
-    n = rank
-    classical = {
-        "A": (n + 1) ** 2 // 4,
-        "B": n * (n - 1) // 2 + 1,
-        "C": n * (n + 1) // 2,
-        "D": n * (n - 1) // 2,
-    }
-    exceptional = {("E", 6): 16, ("E", 7): 27, ("E", 8): 36, ("F", 4): 9, ("G", 2): 3}
-    return classical[family] if family in classical else exceptional[family, rank]
+from reference import malcev_dimension, positive_catalan, q_catalan, w_narayana
 
 
 def long_simple_roots(family, rank):
     """Long simple roots: all of them in A, D, E; rank - 1 in B; one in C and G2; two in F4."""
     return {"B": rank - 1, "C": 1, "F": 2, "G": 1}.get(family, rank)
-
-
-EXCEPTIONAL_NARAYANA = {
-    ("E", 6): (1, 36, 204, 351, 204, 36, 1),
-    ("E", 7): (1, 63, 546, 1470, 1470, 546, 63, 1),
-    ("E", 8): (1, 120, 1540, 6120, 9518, 6120, 1540, 120, 1),
-    ("F", 4): (1, 24, 55, 24, 1),
-    ("G", 2): (1, 6, 1),
-}
-
-
-def w_narayana(family, n, k):
-    """Ideals with k minimal roots (zero ideal included)."""
-    if (family, n) in EXCEPTIONAL_NARAYANA:
-        return EXCEPTIONAL_NARAYANA[family, n][k]
-    if family == "A":
-        value = Fraction(comb(n + 1, k) * comb(n + 1, k + 1), n + 1)
-    elif family in "BC":
-        value = Fraction(comb(n, k) ** 2)
-    else:  # D
-        below = comb(n - 1, k - 1) if k else 0
-        value = comb(n, k) ** 2 - Fraction(n, n - 1) * comb(n - 1, k) * below
-    assert value.denominator == 1
-    return int(value)
 
 
 MALCEV_SYSTEMS = (
@@ -95,57 +57,6 @@ MALCEV_SYSTEMS = (
     + [("D", n) for n in range(4, 8)]
     + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 )
-
-def q_catalan(m):
-    """Coefficients of the Carlitz-Riordan C_m(q): C_0 = 1, C_{m+1} = sum_k q^((k+1)(m-k)) C_k C_{m-k}."""
-    polys = [[1]]
-    for top in range(m):
-        poly = [0] * (1 + top * (top + 1) // 2)  # C_{top+1} has degree (top+1) top / 2
-        for k in range(top + 1):
-            shift = (k + 1) * (top - k)
-            for i, a in enumerate(polys[k]):
-                for j, b in enumerate(polys[top - k]):
-                    poly[shift + i + j] += a * b
-        polys.append(poly)
-    return polys[m]
-
-
-def component_exponents(rank, positives, simply_laced):
-    """Exponents of an irreducible system named by its rank, |R+| and whether it is simply laced.
-
-    |R+| = rank * h / 2 fixes the Coxeter number h; B_n and C_n share their exponents.
-    """
-    h = 2 * positives // rank
-    if not simply_laced:
-        return {(4, 12): (1, 5, 7, 11), (2, 6): (1, 5)}.get((rank, h), tuple(range(1, 2 * rank, 2)))
-    if h == rank + 1:  # A
-        return tuple(range(1, rank + 1))
-    if h == 2 * rank - 2:  # D
-        return (*range(1, 2 * rank - 2, 2), rank - 1)
-    return {6: (1, 4, 5, 7, 8, 11), 7: (1, 5, 7, 9, 11, 13, 17), 8: (1, 7, 11, 13, 17, 19, 23, 29)}[rank]
-
-
-def positive_catalan(cartan, missing):
-    """Cat+ of the parabolic subsystem on the simple roots in ``missing``: 1 when it is empty."""
-    left = {i for i in range(len(cartan)) if missing >> i & 1}
-    value = Fraction(1)
-    while left:  # one connected component of the subdiagram per pass
-        part, todo = [], [left.pop()]
-        while todo:
-            i = todo.pop()
-            part.append(i)
-            linked = {j for j in left if cartan[i][j]}
-            left -= linked
-            todo.extend(linked)
-        sub = tuple(tuple(cartan[i][j] for j in part) for i in part)
-        simply_laced = all(a >= -1 for row in sub for a in row)
-        exponents = component_exponents(len(part), len(generate_positive_roots(sub)), simply_laced)
-        h = max(exponents) + 1
-        for e in exponents:
-            value *= Fraction(h + e - 1, e + 1)
-    assert value.denominator == 1
-    return int(value)
-
 
 NARAYANA_SYSTEMS = (
     [("A", n) for n in range(1, 9)]

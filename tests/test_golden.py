@@ -1,380 +1,19 @@
-"""Byte-identity guard: exit status and stdout sha256 of fixed CLI commands.
+"""Byte-identity guard: exit status and stdout sha256 of every pinned command but the caps.
 
-The table was recorded from the implementation that kept ideals as root
-tuples, before the bitmask pipeline replaced it, and extended with the large
-E7, E8 and A9 listings from the implementation that rendered whole documents
-before output was streamed, and with the last four commands from the one that
-added the zero ideal to the search's layers by hand; any refactor of sorting,
-rendering, counting or classification must leave every entry unchanged.
+The pins are in ``tests/pins.py``; ``tests/caps.py`` runs the rows marked
+``CAP``.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from borelideals.cli import run
+from pins import CAP, PINS
 
-# (family, rank, highest root) of the systems covered in every format.
-SYSTEMS = [
-    ("B", 4, "[1,2,2,2]"),
-    ("D", 5, "[1,2,2,1,1]"),
-    ("E", 6, "[1,2,2,3,2,1]"),
-    ("F", 4, "[2,3,4,2]"),
-    ("G", 2, "[3,2]"),
-]
-
-
-def _cases():
-    cases = []
-    for family, rank, top in SYSTEMS:
-        base = [family, str(rank)]
-        for uni in ([], ["--unicode"]):
-            for fmt in ("text", "json"):
-                opts = ["--format", fmt] + uni
-                cases += [
-                    ["roots"] + base + opts,
-                    ["ideals"] + base + opts,
-                    ["ideals"] + base + opts + ["--include-zero"],
-                    ["abelian"] + base + opts,
-                    ["classify"] + base + opts,
-                    ["lattice"] + base + opts,
-                    ["normalizer"] + base + opts + ["--set", "a1"],
-                    ["normalizer"] + base + opts + ["--set", top],
-                    ["normalizer"] + base + opts + ["--set", "a1, a2"],
-                    ["centralizer"] + base + opts + ["--set", "a1"],
-                    ["centralizer"] + base + opts + ["--set", top],
-                    ["check"] + base + opts + ["--set", "a1, a2"],
-                    ["check"] + base + opts + ["--set", f"a1, {top}"],
-                ]
-            cases.append(["lattice"] + base + ["--format", "dot"] + uni)
-    for family, rank in (("A", 4), ("B", 3)):
-        for fmt in ("text", "json"):
-            oracle = ["ideals", family, str(rank), "--format", fmt, "--oracle"]
-            cases += [oracle, oracle + ["--include-zero"]]
-    cases += [
-        ["ideals", "E", "7"],
-        ["lattice", "E", "7", "--format", "dot"],
-        ["classify", "E", "7", "--format", "json"],
-        # Streamed outputs of tens of megabytes, layer by layer.
-        ["ideals", "E", "8"],
-        ["lattice", "E", "8", "--format", "dot"],
-        ["ideals", "A", "9", "--format", "json"],
-        ["lattice", "E", "7", "--format", "json"],
-        ["abelian", "E", "7", "--format", "json"],
-        ["ideals", "E", "7", "--format", "json", "--include-zero"],
-        ["classify", "E", "6", "--unicode"],
-        # The abelian text listing that stops its search early, the lattice
-        # text whose edge count is computed before the covers, and abelian
-        # and classify JSON on classical types.
-        ["lattice", "E", "7"],
-        ["abelian", "E", "8"],
-        ["abelian", "A", "9", "--format", "json"],
-        ["classify", "D", "6", "--format", "json"],
-    ]
-    return [" ".join(argv) for argv in cases]
-
-
-CASES = _cases()
-
-# "exit-status sha256-of-stdout" per command line.
-GOLDEN = {
-    "roots B 4 --format text": "0 548a2555df3d9165dc56c98162ba7e8f98e1d4872dea859278a3c0b10807fa56",
-    "ideals B 4 --format text": "0 8993309186d3318bb305f8e073b67a108f6a3dfa2238bc3b7069ffdf2aa6836c",
-    "ideals B 4 --format text --include-zero": "0 d23f71333ff92c83b383ed6c9133070467413f08971c75488447b674c2a1a0e7",
-    "abelian B 4 --format text": "0 38dda5d5499ccc153401d69dd062423040c360e642d821433eefaaed27675d0d",
-    "classify B 4 --format text": "0 eb93ef7fcdafa6ab391e80f59733dcc8583663eca2d28543e3fef81c794751b0",
-    "lattice B 4 --format text": "0 e5aaa831e73d788f1837615d549def2152b29eaf751f2f7489aab3c340948813",
-    "normalizer B 4 --format text --set a1": "0 b565bcc15b6d8aa825e551adb05c982b10915577034022efcdcb32218e505aeb",
-    "normalizer B 4 --format text --set [1,2,2,2]": "0 7daaa1f53bb3617decc0d1a90c029740fb5f7eb050e00b6602862d7091aac89d",
-    "normalizer B 4 --format text --set a1, a2": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "centralizer B 4 --format text --set a1": "0 b565bcc15b6d8aa825e551adb05c982b10915577034022efcdcb32218e505aeb",
-    "centralizer B 4 --format text --set [1,2,2,2]": "0 7daaa1f53bb3617decc0d1a90c029740fb5f7eb050e00b6602862d7091aac89d",
-    "check B 4 --format text --set a1, a2": "0 9fc167fbb9c254ffc606a069a61eddc4ef80f4b9936c1fe6dcb092dbf40e4e7b",
-    "check B 4 --format text --set a1, [1,2,2,2]": "0 8e6ada5233eb0233918e837f8f453074706b201e506aaf37dcf626ddb7688915",
-    "roots B 4 --format json": "0 4155e3c0163370ade7a1772fe531b71ab6007aafe51ccc83df9cce293588552b",
-    "ideals B 4 --format json": "0 ee2a60403173c1324bf2193b5d5c735a3d935e3a421913d617e78d2842265d86",
-    "ideals B 4 --format json --include-zero": "0 0aca720be72955670a00ba73266639d41ea57090edc9e1b1c5ca0c1ad97cd2c2",
-    "abelian B 4 --format json": "0 99dfef8f526817433b70bf6d64dfc198c082c8fec71dd74ea182c8e871470633",
-    "classify B 4 --format json": "0 2b86b255c062596d0d75ff8c0453114c121664f40d821e4eb114e27524473062",
-    "lattice B 4 --format json": "0 30eb5d6d9dae31dd0d3e18ef3f3445a89433157f64f341b70f1ebe2ee89bdd30",
-    "normalizer B 4 --format json --set a1": "0 affcbd52be22302c7122a1794382742c4e840ce5711631545c2b8f4d23dd5ce8",
-    "normalizer B 4 --format json --set [1,2,2,2]": "0 185577bd4ea23be25c5234f21683cc20c4da96dc123eedd447b2df5cf4839156",
-    "normalizer B 4 --format json --set a1, a2": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "centralizer B 4 --format json --set a1": "0 0a914369f028d87723931039713d0ee7c109187ad86ca42e4e2d9b303d975aa8",
-    "centralizer B 4 --format json --set [1,2,2,2]": "0 c817cb754618324a5a1f0b1d9c09645387cbbb41f35a8133253055863ffb2883",
-    "check B 4 --format json --set a1, a2": "0 14d59bb2a4f76d3fcca01ef61bba76cb7e96bcac3871b98b5f8b9b5dec3c10a8",
-    "check B 4 --format json --set a1, [1,2,2,2]": "0 eef35a191bd660114c4acdd29d63c4c664889cd0736c1e6e4136c06d291def9b",
-    "lattice B 4 --format dot": "0 1c4f386ef18aa6f386d5c903bea778ed1167a8ccf357ed547016a7d53abddfb5",
-    "roots B 4 --format text --unicode": "0 75d882f033fcfaeb6573d2676fa6032ceccae9836ba7b2baabe1d0393ecf6246",
-    "ideals B 4 --format text --unicode": "0 285c3bae1aff9d6bbb3ca7e4767a20f513c4f0c5c0a566ecd2149c3b88171215",
-    "ideals B 4 --format text --unicode --include-zero": "0 5eb8a368925aa01d7f6ccbc3344ce2fae8fb5562a3006276f2725adbd4d796c6",
-    "abelian B 4 --format text --unicode": "0 fdc97819001cc294fd75b254c412cbd9d180782a4e1210c648a630a5307ee545",
-    "classify B 4 --format text --unicode": "0 f7aa43807c59f6cdf60bea8c7666fa001ccaa855a34d80e729b35210c508a8b9",
-    "lattice B 4 --format text --unicode": "0 f258109d79fcdd22976a1fb9cfe4952c5bccc0e3c1b7275fc8d15de09772a858",
-    "normalizer B 4 --format text --unicode --set a1": "0 140e6b4c5cd13653a75190408bb2e30b0af106b4c24e4b651d8c574879477237",
-    "normalizer B 4 --format text --unicode --set [1,2,2,2]": "0 b15a944ccb7e29ecde584d06c21c6ecec2e0f48c2ba1e7068c371c1e12687551",
-    "normalizer B 4 --format text --unicode --set a1, a2": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "centralizer B 4 --format text --unicode --set a1": "0 140e6b4c5cd13653a75190408bb2e30b0af106b4c24e4b651d8c574879477237",
-    "centralizer B 4 --format text --unicode --set [1,2,2,2]": "0 b15a944ccb7e29ecde584d06c21c6ecec2e0f48c2ba1e7068c371c1e12687551",
-    "check B 4 --format text --unicode --set a1, a2": "0 628dce8d5a6ec4cf2d84c38452acf35741b3832811c5b887d00f514a484ef239",
-    "check B 4 --format text --unicode --set a1, [1,2,2,2]": "0 6b94a28057a014ecd20a3ef79310ab99a3e058b06fb69caadda370aa417ea566",
-    "roots B 4 --format json --unicode": "0 4155e3c0163370ade7a1772fe531b71ab6007aafe51ccc83df9cce293588552b",
-    "ideals B 4 --format json --unicode": "0 ee2a60403173c1324bf2193b5d5c735a3d935e3a421913d617e78d2842265d86",
-    "ideals B 4 --format json --unicode --include-zero": "0 0aca720be72955670a00ba73266639d41ea57090edc9e1b1c5ca0c1ad97cd2c2",
-    "abelian B 4 --format json --unicode": "0 99dfef8f526817433b70bf6d64dfc198c082c8fec71dd74ea182c8e871470633",
-    "classify B 4 --format json --unicode": "0 2b86b255c062596d0d75ff8c0453114c121664f40d821e4eb114e27524473062",
-    "lattice B 4 --format json --unicode": "0 30eb5d6d9dae31dd0d3e18ef3f3445a89433157f64f341b70f1ebe2ee89bdd30",
-    "normalizer B 4 --format json --unicode --set a1": "0 affcbd52be22302c7122a1794382742c4e840ce5711631545c2b8f4d23dd5ce8",
-    "normalizer B 4 --format json --unicode --set [1,2,2,2]": "0 185577bd4ea23be25c5234f21683cc20c4da96dc123eedd447b2df5cf4839156",
-    "normalizer B 4 --format json --unicode --set a1, a2": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "centralizer B 4 --format json --unicode --set a1": "0 0a914369f028d87723931039713d0ee7c109187ad86ca42e4e2d9b303d975aa8",
-    "centralizer B 4 --format json --unicode --set [1,2,2,2]": "0 c817cb754618324a5a1f0b1d9c09645387cbbb41f35a8133253055863ffb2883",
-    "check B 4 --format json --unicode --set a1, a2": "0 14d59bb2a4f76d3fcca01ef61bba76cb7e96bcac3871b98b5f8b9b5dec3c10a8",
-    "check B 4 --format json --unicode --set a1, [1,2,2,2]": "0 eef35a191bd660114c4acdd29d63c4c664889cd0736c1e6e4136c06d291def9b",
-    "lattice B 4 --format dot --unicode": "0 dfc2d55e35d91df8adc2183738f99e683adf893dcfe718a6b5274d1fe2252c65",
-    "roots D 5 --format text": "0 7df3e22b64c488d031ca8341170664a04d2a9a429a5a7d67ac459d9c61267aba",
-    "ideals D 5 --format text": "0 852fa93b4741208f9ee0dd65e2720f96993985c590a77cfe81a4b6b7d4b8df19",
-    "ideals D 5 --format text --include-zero": "0 edb36a1157ac27965ae12812a091b2a9a71b910626b3039fb8ba46638cb2cec2",
-    "abelian D 5 --format text": "0 4749fef83617fe7c7b8b2b041b93ab3a23de54e8813fc30d7885075c7f47ee88",
-    "classify D 5 --format text": "0 5d8e93b586266319c45922e81f7f5907fd3a4b4b42c926be50e7cf4e463204f8",
-    "lattice D 5 --format text": "0 5bd71de0143981f2afbb1b36c551531e6d2f498ddab8f7fa3c7cf03676be9a4c",
-    "normalizer D 5 --format text --set a1": "0 588592e31c0b13c3fb0eb469169f3bc76a31452564db911cb54a0d8d439aefa1",
-    "normalizer D 5 --format text --set [1,2,2,1,1]": "0 518b08c31110a95e28c61267ea7e35ba928143766f98cdd67842dd2795791b08",
-    "normalizer D 5 --format text --set a1, a2": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "centralizer D 5 --format text --set a1": "0 588592e31c0b13c3fb0eb469169f3bc76a31452564db911cb54a0d8d439aefa1",
-    "centralizer D 5 --format text --set [1,2,2,1,1]": "0 518b08c31110a95e28c61267ea7e35ba928143766f98cdd67842dd2795791b08",
-    "check D 5 --format text --set a1, a2": "0 9fc167fbb9c254ffc606a069a61eddc4ef80f4b9936c1fe6dcb092dbf40e4e7b",
-    "check D 5 --format text --set a1, [1,2,2,1,1]": "0 39db495661ae111bb5d781d23af69335c0437d8734be04e4f93638d79e46a4f7",
-    "roots D 5 --format json": "0 9384c7eae29c7b0c57ecc9f1cd027e9f7a071eca8f69d50e3a87080171147b39",
-    "ideals D 5 --format json": "0 ac0f14c417e2a46c10e88fa7eaed3e58377e33275bdfd684430ea81a216abf4e",
-    "ideals D 5 --format json --include-zero": "0 68d7163464e09d1f152de5fd83ddad8091895190619a6139c883d9537fa72863",
-    "abelian D 5 --format json": "0 6f1f0435242244cdf735c255b7e71090fe02b0cc256aa737804ce5f9f1f97b78",
-    "classify D 5 --format json": "0 b906e5dbcbd67e1aeeb22556b7d90c5de5d3ebce73ae90c9081fa0bb7d36d826",
-    "lattice D 5 --format json": "0 f7973aefedd2604965bbdb5f1d716d52967b17b38de9dcce4e99a903973a3e71",
-    "normalizer D 5 --format json --set a1": "0 257f6beb3851d16d49aa0649c4fdd67ec72ae8c48eccc4433fa109debc1d5367",
-    "normalizer D 5 --format json --set [1,2,2,1,1]": "0 71378fde40b5cbf06a38f6c2a2686a84a82886cbd539a23a9546c20e00214470",
-    "normalizer D 5 --format json --set a1, a2": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "centralizer D 5 --format json --set a1": "0 7123d8008379ec715e372b41a84b4af322b81989e64e17f9ca650189ebad1845",
-    "centralizer D 5 --format json --set [1,2,2,1,1]": "0 b33f05c04b007cb412d8f004018e99065445d766276752b9dad045ff0b9e557f",
-    "check D 5 --format json --set a1, a2": "0 2bc26f0119958ce1c4450e7572d1bbeb1d884eb6b97896d7d802d711afd5533c",
-    "check D 5 --format json --set a1, [1,2,2,1,1]": "0 7162ed7abc64d4be8e51fd3b5bb831b70360b3e6d97062b24186cdb97a48f3b7",
-    "lattice D 5 --format dot": "0 fead93ca81cfa0b8a6f707b69abf8d8725b55aad27db30ef4be7cee9997e2bfb",
-    "roots D 5 --format text --unicode": "0 05b98e15c7022ea8fd3b66f313eb74f83b370c506c0175c286a4acfba32eeaf6",
-    "ideals D 5 --format text --unicode": "0 1a2fe8c903df7b719edca66c9edbd7fc05ecad60587fa007ff16ffdcf36cdd44",
-    "ideals D 5 --format text --unicode --include-zero": "0 4afccdd256e59ae02078caec1234576ea54d69b9a27139b1815faead3729279c",
-    "abelian D 5 --format text --unicode": "0 b9b22d68044329dbd8d47d36d61500c47a8f3260ec0a0ba9aec8da5830618ddd",
-    "classify D 5 --format text --unicode": "0 21aaccf5d9630191cb8b2c6ac92a7271c0e4cd1db2399c3402ddf645412f59ed",
-    "lattice D 5 --format text --unicode": "0 8d203f7a2e10ef668d7fe406f72db09dfac885f2f5dffce1907e86bb729b3912",
-    "normalizer D 5 --format text --unicode --set a1": "0 54d63c66f5ed39d33318d8092c0a1a464872848545da0c468bafc6900d5eac8a",
-    "normalizer D 5 --format text --unicode --set [1,2,2,1,1]": "0 200fe477022b24d8258854fc0e1b27fb6988b6a7994463b17142f75477895d99",
-    "normalizer D 5 --format text --unicode --set a1, a2": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "centralizer D 5 --format text --unicode --set a1": "0 54d63c66f5ed39d33318d8092c0a1a464872848545da0c468bafc6900d5eac8a",
-    "centralizer D 5 --format text --unicode --set [1,2,2,1,1]": "0 200fe477022b24d8258854fc0e1b27fb6988b6a7994463b17142f75477895d99",
-    "check D 5 --format text --unicode --set a1, a2": "0 628dce8d5a6ec4cf2d84c38452acf35741b3832811c5b887d00f514a484ef239",
-    "check D 5 --format text --unicode --set a1, [1,2,2,1,1]": "0 745002b5622bda6051a5bf45965fee6642c63f761f19d3a257bf6f464fc2d86c",
-    "roots D 5 --format json --unicode": "0 9384c7eae29c7b0c57ecc9f1cd027e9f7a071eca8f69d50e3a87080171147b39",
-    "ideals D 5 --format json --unicode": "0 ac0f14c417e2a46c10e88fa7eaed3e58377e33275bdfd684430ea81a216abf4e",
-    "ideals D 5 --format json --unicode --include-zero": "0 68d7163464e09d1f152de5fd83ddad8091895190619a6139c883d9537fa72863",
-    "abelian D 5 --format json --unicode": "0 6f1f0435242244cdf735c255b7e71090fe02b0cc256aa737804ce5f9f1f97b78",
-    "classify D 5 --format json --unicode": "0 b906e5dbcbd67e1aeeb22556b7d90c5de5d3ebce73ae90c9081fa0bb7d36d826",
-    "lattice D 5 --format json --unicode": "0 f7973aefedd2604965bbdb5f1d716d52967b17b38de9dcce4e99a903973a3e71",
-    "normalizer D 5 --format json --unicode --set a1": "0 257f6beb3851d16d49aa0649c4fdd67ec72ae8c48eccc4433fa109debc1d5367",
-    "normalizer D 5 --format json --unicode --set [1,2,2,1,1]": "0 71378fde40b5cbf06a38f6c2a2686a84a82886cbd539a23a9546c20e00214470",
-    "normalizer D 5 --format json --unicode --set a1, a2": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "centralizer D 5 --format json --unicode --set a1": "0 7123d8008379ec715e372b41a84b4af322b81989e64e17f9ca650189ebad1845",
-    "centralizer D 5 --format json --unicode --set [1,2,2,1,1]": "0 b33f05c04b007cb412d8f004018e99065445d766276752b9dad045ff0b9e557f",
-    "check D 5 --format json --unicode --set a1, a2": "0 2bc26f0119958ce1c4450e7572d1bbeb1d884eb6b97896d7d802d711afd5533c",
-    "check D 5 --format json --unicode --set a1, [1,2,2,1,1]": "0 7162ed7abc64d4be8e51fd3b5bb831b70360b3e6d97062b24186cdb97a48f3b7",
-    "lattice D 5 --format dot --unicode": "0 826ba444e7a347575dc4998a5f1dff1d63c0ffc8e26c85f8b4adad5150974e48",
-    "roots E 6 --format text": "0 5f928e3d1a8536a58df7fd3fa5a63ca541c07232558c94d06402cf884348eada",
-    "ideals E 6 --format text": "0 6503a3184cb8c29c5d3f3643759f0870e2bdf0f57a0d8e6abf6e2332954b376b",
-    "ideals E 6 --format text --include-zero": "0 6d4a84ab615a83af099f19f007b58a6ccfd75b513e5bbd13851e132cb72b18ec",
-    "abelian E 6 --format text": "0 9bbea6dcc8dd1e8aec62c6853b8f58cc83403e52e0dbbc21ae6335bccac0d620",
-    "classify E 6 --format text": "0 2bb90cbdec55ca65fd3104e3e02eed63b29bafb2642fa0882ff2196c2f2e3cd2",
-    "lattice E 6 --format text": "0 2ed4cb4686a85c3abea4f7f1a35a4b26e7b32fcf37da520cf6b59a95b196ef97",
-    "normalizer E 6 --format text --set a1": "0 a94d8db956e39b6104aadf27b220b9ab300b25dc0012d31b9f567506e4b19f18",
-    "normalizer E 6 --format text --set [1,2,2,3,2,1]": "0 e1eae3813403599e2056b51d8f35a55f09e418743ca7aaa4fea50c2d844a6fc6",
-    "normalizer E 6 --format text --set a1, a2": "0 c3575beaf16802d29f955ccd588d70edfa17a04728a114cb2422b0dd9e66460a",
-    "centralizer E 6 --format text --set a1": "0 a94d8db956e39b6104aadf27b220b9ab300b25dc0012d31b9f567506e4b19f18",
-    "centralizer E 6 --format text --set [1,2,2,3,2,1]": "0 e1eae3813403599e2056b51d8f35a55f09e418743ca7aaa4fea50c2d844a6fc6",
-    "check E 6 --format text --set a1, a2": "0 219faed7c306c556299fc1afe160b77a381474377a3afcdb0700753bf2721a65",
-    "check E 6 --format text --set a1, [1,2,2,3,2,1]": "0 f02ae303dbf990eea53c187aace23ac7f09dcc9f98ebd5dc829145ccda6ff2d8",
-    "roots E 6 --format json": "0 e26fc70dcf089f4dfef73abda7232264ff1dd419a98998a040ef5ca641b81cfc",
-    "ideals E 6 --format json": "0 79c9fea2c700ca0c7c43d3bbf78213c16e7496872f1c12817992c1adbf315bc9",
-    "ideals E 6 --format json --include-zero": "0 a9e866b958e32733b13353a0834b0bd8ab529ce7e879c676d0ec8f861991b5ca",
-    "abelian E 6 --format json": "0 831aff04fab290cf58199730b23ff9d2622d744d2d862b044a2267c390d464a5",
-    "classify E 6 --format json": "0 2eafd4fec3e198600e9608b8c6cce930c57d0711c564f559d38d5458259c249c",
-    "lattice E 6 --format json": "0 829c45416fb7c47a5bb4e0f3e1fa41c37c3ad26d83eaa5c7d07462df4db255ad",
-    "normalizer E 6 --format json --set a1": "0 19b8ff83e7187c2918fff0af59faa15334a07ba956a57e3193cacbf5fd08558b",
-    "normalizer E 6 --format json --set [1,2,2,3,2,1]": "0 139efe35cfe76bbaf2b3e65665330331b7af8e5fd28532b8e1939bf5ac5647c1",
-    "normalizer E 6 --format json --set a1, a2": "0 e4ce97faafe4602b3dd8d46f329f93b12ed0b816ef0f41f63fe5c24eb56308ac",
-    "centralizer E 6 --format json --set a1": "0 47e5e176c8e99af181984cab82a30617747e4d0dd32afbaeecf1bf915cb53907",
-    "centralizer E 6 --format json --set [1,2,2,3,2,1]": "0 eae843a26e3bd8bb7f3b48ddce212754643d6d22e9e8b3fe4bc3eb06cc47b766",
-    "check E 6 --format json --set a1, a2": "0 26452bcb11ee66b5161ae6563e7a8e271a28cc2d3de6e04cc41fcba171c6e19f",
-    "check E 6 --format json --set a1, [1,2,2,3,2,1]": "0 c51f54e2124c847b723f930cd6543c0631e80d432110383244babecc4c634388",
-    "lattice E 6 --format dot": "0 eea164f09df93a20004bf640e745bfd290eb5b022b9de18f234cc210ec5ac1b2",
-    "roots E 6 --format text --unicode": "0 33481adaa1c7b2b55b5984794081afeab7049bda8b5eeb08a80de55be7dfbbac",
-    "ideals E 6 --format text --unicode": "0 84e0f57dcf0764c7e0669c73ec2f933fc67bcb21d77f6481662bd4d986b081b2",
-    "ideals E 6 --format text --unicode --include-zero": "0 255cb11861df0414b06fbe6697084b6b21bed855d597ccbc993712dd20133374",
-    "abelian E 6 --format text --unicode": "0 6d29b8a2b9ab40109020de747edd1d99c25a10927b2312a8baad79a143a7afbb",
-    "classify E 6 --format text --unicode": "0 3ba9e22fd9a15165848d9be6c32c9f7501d3344349def073f6f31e722b8a8007",
-    "lattice E 6 --format text --unicode": "0 cae84bc10bb66c4fc4dbe63f8e1819963b6fd774612c26eab4dd5686332662c9",
-    "normalizer E 6 --format text --unicode --set a1": "0 a0beb01c050e2d74f110cea0c8b14bb041d0620e2f34d33590144633c3266f8b",
-    "normalizer E 6 --format text --unicode --set [1,2,2,3,2,1]": "0 edab9fab5031795160a7859b0623db0e5b77935d5881073e6d82d57a2f6bf9b6",
-    "normalizer E 6 --format text --unicode --set a1, a2": "0 ddb65a7a01fc2726b4cf3ff3a28989dfc85c2c962335417c0ad6affabd927da5",
-    "centralizer E 6 --format text --unicode --set a1": "0 a0beb01c050e2d74f110cea0c8b14bb041d0620e2f34d33590144633c3266f8b",
-    "centralizer E 6 --format text --unicode --set [1,2,2,3,2,1]": "0 edab9fab5031795160a7859b0623db0e5b77935d5881073e6d82d57a2f6bf9b6",
-    "check E 6 --format text --unicode --set a1, a2": "0 91360494f11de31746ceefb72f6385c579a2318f0abbeda0791a6f05aa100f42",
-    "check E 6 --format text --unicode --set a1, [1,2,2,3,2,1]": "0 2fee65d6806533a4e97cb3371d5614fdf7d5745f9f6921684d07c0f71390b5e3",
-    "roots E 6 --format json --unicode": "0 e26fc70dcf089f4dfef73abda7232264ff1dd419a98998a040ef5ca641b81cfc",
-    "ideals E 6 --format json --unicode": "0 79c9fea2c700ca0c7c43d3bbf78213c16e7496872f1c12817992c1adbf315bc9",
-    "ideals E 6 --format json --unicode --include-zero": "0 a9e866b958e32733b13353a0834b0bd8ab529ce7e879c676d0ec8f861991b5ca",
-    "abelian E 6 --format json --unicode": "0 831aff04fab290cf58199730b23ff9d2622d744d2d862b044a2267c390d464a5",
-    "classify E 6 --format json --unicode": "0 2eafd4fec3e198600e9608b8c6cce930c57d0711c564f559d38d5458259c249c",
-    "lattice E 6 --format json --unicode": "0 829c45416fb7c47a5bb4e0f3e1fa41c37c3ad26d83eaa5c7d07462df4db255ad",
-    "normalizer E 6 --format json --unicode --set a1": "0 19b8ff83e7187c2918fff0af59faa15334a07ba956a57e3193cacbf5fd08558b",
-    "normalizer E 6 --format json --unicode --set [1,2,2,3,2,1]": "0 139efe35cfe76bbaf2b3e65665330331b7af8e5fd28532b8e1939bf5ac5647c1",
-    "normalizer E 6 --format json --unicode --set a1, a2": "0 e4ce97faafe4602b3dd8d46f329f93b12ed0b816ef0f41f63fe5c24eb56308ac",
-    "centralizer E 6 --format json --unicode --set a1": "0 47e5e176c8e99af181984cab82a30617747e4d0dd32afbaeecf1bf915cb53907",
-    "centralizer E 6 --format json --unicode --set [1,2,2,3,2,1]": "0 eae843a26e3bd8bb7f3b48ddce212754643d6d22e9e8b3fe4bc3eb06cc47b766",
-    "check E 6 --format json --unicode --set a1, a2": "0 26452bcb11ee66b5161ae6563e7a8e271a28cc2d3de6e04cc41fcba171c6e19f",
-    "check E 6 --format json --unicode --set a1, [1,2,2,3,2,1]": "0 c51f54e2124c847b723f930cd6543c0631e80d432110383244babecc4c634388",
-    "lattice E 6 --format dot --unicode": "0 d4157eeb8aa2670c89da8cc8ed7243f444561383a772c3c849af1da35c63c4cc",
-    "roots F 4 --format text": "0 8367324b9c0fa0a098aae99b8a69719d4a130a9226b23895bdd58c5ea17b23e3",
-    "ideals F 4 --format text": "0 7e75511f8ddb139716498460bc88d98ff7a574afc0311960eae8aebbfd7beb66",
-    "ideals F 4 --format text --include-zero": "0 1cdd3123428b2c0c1ecb7a313f5666ed5a4578e4c08b3306f805457c813bdc25",
-    "abelian F 4 --format text": "0 c360b07de4afb95795f83ad254d479cd9d7f36df2f73b002538c05df564502c8",
-    "classify F 4 --format text": "0 83468827b4d2e9302326ce726954ee8df6eb11c6a21cb8d2a9806262c260cc36",
-    "lattice F 4 --format text": "0 124014e6de46cf3724c32f64e6b602a16ea85671efc085bad2f7834f5d8f4531",
-    "normalizer F 4 --format text --set a1": "0 c4adadf3bce58ec329c0d5fbd3d1e0313ddefb89122e7620d5777b945a19ce00",
-    "normalizer F 4 --format text --set [2,3,4,2]": "0 efeb7e318534a3cbcac5bb489c99c6c7241694bfa2eb5d13dd622e6912ee140d",
-    "normalizer F 4 --format text --set a1, a2": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "centralizer F 4 --format text --set a1": "0 c4adadf3bce58ec329c0d5fbd3d1e0313ddefb89122e7620d5777b945a19ce00",
-    "centralizer F 4 --format text --set [2,3,4,2]": "0 efeb7e318534a3cbcac5bb489c99c6c7241694bfa2eb5d13dd622e6912ee140d",
-    "check F 4 --format text --set a1, a2": "0 9fc167fbb9c254ffc606a069a61eddc4ef80f4b9936c1fe6dcb092dbf40e4e7b",
-    "check F 4 --format text --set a1, [2,3,4,2]": "0 39d9393d6e47433af4285d25d85d04870b874557b9aae4644fa4ad90f032122f",
-    "roots F 4 --format json": "0 d50855277184244cf1674231082f8c0e9047e768d85c75ae48ef3ec0c5444e19",
-    "ideals F 4 --format json": "0 fb5ed07f3126c8ec5fa7b575b36b2bcaaf5f086a19f6b554bb05a92fa6dec10e",
-    "ideals F 4 --format json --include-zero": "0 6ad1c4d88f13360a599723f71f5b9d26a499dd619e8e333ac33dab3b9bbf7dff",
-    "abelian F 4 --format json": "0 30a8b3361106edb8f85bda616ba668f90d9d57a80f6f2b149f7d7fc049aaa4ea",
-    "classify F 4 --format json": "0 5b7d92e01444f4f5992e3e1b93560c5f21e6216b3cc2c59c302f570ea9c16ed2",
-    "lattice F 4 --format json": "0 d54162f394e0eb6be68836577832d240a334f6611f180872de59f9587ecd6a6a",
-    "normalizer F 4 --format json --set a1": "0 65a71339a810d4b5ffb75f8a1627a623233041a883ef290bd64a6c653ea48465",
-    "normalizer F 4 --format json --set [2,3,4,2]": "0 d2e2b268d8a763d09daf0db87f2de5268c6bec680ea757970e097ab69cd72ef0",
-    "normalizer F 4 --format json --set a1, a2": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "centralizer F 4 --format json --set a1": "0 492c50ae7f3a0e3035035087311f120b50fad7d4d49d3d38bf23ba5416e9445f",
-    "centralizer F 4 --format json --set [2,3,4,2]": "0 852f0f5e5368ed7e681f8609148ac10fabe22d8523eb75ca3389042d0a12a116",
-    "check F 4 --format json --set a1, a2": "0 9f969343e926efb3d310489d66eaa1aa33da74a52f6bc73e61a6f5ed8696c36a",
-    "check F 4 --format json --set a1, [2,3,4,2]": "0 4e03d6bbb70a1f4e937cf3aebb0fdbd6f3a5cb4b484fdeffe3ad84fabf591fa0",
-    "lattice F 4 --format dot": "0 c1bff0764ad7840d87d9dac063aa89cb6eeeefe734d106281eb37424d46671ec",
-    "roots F 4 --format text --unicode": "0 cb7339715fc5924e4075f8bcf99ca536aac546d1f69207e8b4971f9c77d293cf",
-    "ideals F 4 --format text --unicode": "0 b896e87f8013433df538a4e45794e6e3d274525c77ae1e3b988a9671a4bc45e3",
-    "ideals F 4 --format text --unicode --include-zero": "0 01494e9514b5cfaa880ee68581a16ff3a19c8a364fdd8c5c4e582eb63de42968",
-    "abelian F 4 --format text --unicode": "0 1b294086f00ddc18647324f4a78566ee9dae8af8b71df07f8d5c7e0159abfb57",
-    "classify F 4 --format text --unicode": "0 c953e3cb10ce3aa859aa5cfad83d72c3a3dbac892a4ca2cb6a9b7429c0c256d6",
-    "lattice F 4 --format text --unicode": "0 693e5b338f7c87ac22ada8abfbca7f6a8ad65560b50ab949b7c50361e5877b97",
-    "normalizer F 4 --format text --unicode --set a1": "0 0d848efbacb808688e890070dd70f25d0ca43269c4cfe1ba0eca1fbbc1c7d9fe",
-    "normalizer F 4 --format text --unicode --set [2,3,4,2]": "0 5a87ebfc20d59e5c63bfca19ed07f6706a8ccd89e255a7de8882e0089f2613a0",
-    "normalizer F 4 --format text --unicode --set a1, a2": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "centralizer F 4 --format text --unicode --set a1": "0 0d848efbacb808688e890070dd70f25d0ca43269c4cfe1ba0eca1fbbc1c7d9fe",
-    "centralizer F 4 --format text --unicode --set [2,3,4,2]": "0 5a87ebfc20d59e5c63bfca19ed07f6706a8ccd89e255a7de8882e0089f2613a0",
-    "check F 4 --format text --unicode --set a1, a2": "0 628dce8d5a6ec4cf2d84c38452acf35741b3832811c5b887d00f514a484ef239",
-    "check F 4 --format text --unicode --set a1, [2,3,4,2]": "0 5329ec1283048efa06def64beeaecc25d63d52aae28222dcc2437cc395efa8cd",
-    "roots F 4 --format json --unicode": "0 d50855277184244cf1674231082f8c0e9047e768d85c75ae48ef3ec0c5444e19",
-    "ideals F 4 --format json --unicode": "0 fb5ed07f3126c8ec5fa7b575b36b2bcaaf5f086a19f6b554bb05a92fa6dec10e",
-    "ideals F 4 --format json --unicode --include-zero": "0 6ad1c4d88f13360a599723f71f5b9d26a499dd619e8e333ac33dab3b9bbf7dff",
-    "abelian F 4 --format json --unicode": "0 30a8b3361106edb8f85bda616ba668f90d9d57a80f6f2b149f7d7fc049aaa4ea",
-    "classify F 4 --format json --unicode": "0 5b7d92e01444f4f5992e3e1b93560c5f21e6216b3cc2c59c302f570ea9c16ed2",
-    "lattice F 4 --format json --unicode": "0 d54162f394e0eb6be68836577832d240a334f6611f180872de59f9587ecd6a6a",
-    "normalizer F 4 --format json --unicode --set a1": "0 65a71339a810d4b5ffb75f8a1627a623233041a883ef290bd64a6c653ea48465",
-    "normalizer F 4 --format json --unicode --set [2,3,4,2]": "0 d2e2b268d8a763d09daf0db87f2de5268c6bec680ea757970e097ab69cd72ef0",
-    "normalizer F 4 --format json --unicode --set a1, a2": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "centralizer F 4 --format json --unicode --set a1": "0 492c50ae7f3a0e3035035087311f120b50fad7d4d49d3d38bf23ba5416e9445f",
-    "centralizer F 4 --format json --unicode --set [2,3,4,2]": "0 852f0f5e5368ed7e681f8609148ac10fabe22d8523eb75ca3389042d0a12a116",
-    "check F 4 --format json --unicode --set a1, a2": "0 9f969343e926efb3d310489d66eaa1aa33da74a52f6bc73e61a6f5ed8696c36a",
-    "check F 4 --format json --unicode --set a1, [2,3,4,2]": "0 4e03d6bbb70a1f4e937cf3aebb0fdbd6f3a5cb4b484fdeffe3ad84fabf591fa0",
-    "lattice F 4 --format dot --unicode": "0 f8400405b6baaf721f5ebf447f1e1c4326d8d2889b540a209d5e5855ee02d7ba",
-    "roots G 2 --format text": "0 10d606fa887a2cf6d15024f61df8a7cb8b8ed21e7089a5922560a8d7aa0a3cc5",
-    "ideals G 2 --format text": "0 ae5dd437388c0d50877ebc5db3cb93edbe121d16f497cbd65bb1b25328bc8143",
-    "ideals G 2 --format text --include-zero": "0 51aec02f3fac59761f924c571904e2e068025d198ea712e6d0d3a368f3fea21a",
-    "abelian G 2 --format text": "0 61eff3e537ab80784930ac868df5e87c8aa382b2c9e63bb6670e631610ea8da2",
-    "classify G 2 --format text": "0 31206b95fb539cdf7c0ffb8331f5f9664f3e077b4103687e90434e0f3ff919f7",
-    "lattice G 2 --format text": "0 212b209831b5f85ba98959ac48a93c0567976ef44b55e26c2fb0cb02156a1815",
-    "normalizer G 2 --format text --set a1": "0 742fca2b814aadaf79eb8d236c3b241ab9675efa007dc6ad883ef01cbadbe37c",
-    "normalizer G 2 --format text --set [3,2]": "0 868b3280abd7465ceeb66381c43a0ca0f1fe841d3c195d24ac443a15f319ff4d",
-    "normalizer G 2 --format text --set a1, a2": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "centralizer G 2 --format text --set a1": "0 742fca2b814aadaf79eb8d236c3b241ab9675efa007dc6ad883ef01cbadbe37c",
-    "centralizer G 2 --format text --set [3,2]": "0 868b3280abd7465ceeb66381c43a0ca0f1fe841d3c195d24ac443a15f319ff4d",
-    "check G 2 --format text --set a1, a2": "0 9fc167fbb9c254ffc606a069a61eddc4ef80f4b9936c1fe6dcb092dbf40e4e7b",
-    "check G 2 --format text --set a1, [3,2]": "0 73343020c5a0d017bf4a422c13abc105f3f375f089e6bdd2176ed932070cc3cf",
-    "roots G 2 --format json": "0 2071768db2f1906b0cccf23191ec96ab2a01b144065c0c02bfc5117f407a81db",
-    "ideals G 2 --format json": "0 de0778093e78b648a6ac1721d921cd25c8d072b01de0e1377a2c49d282daac69",
-    "ideals G 2 --format json --include-zero": "0 fe3847cd9e6c32b9ee85a19f678f8a3a029e91e625b3cc4fd0cd1125a516476f",
-    "abelian G 2 --format json": "0 1a8599f4b014e7260d2d63bdbd428a7422b5b2cd02fe331949e8cfcf90d88db5",
-    "classify G 2 --format json": "0 2a192558aace461fda669e7d9eca913c44305ea44c1b424a6c9f2988d7f169ef",
-    "lattice G 2 --format json": "0 e192e6d901ef8c717089350ab5190e5c544a80fc6ce33b0a900ddd42e8545963",
-    "normalizer G 2 --format json --set a1": "0 e64f019ddc52ad7a31407834ad48044569f91230713791f8719112fd95bc765f",
-    "normalizer G 2 --format json --set [3,2]": "0 5ed97192abc028ef0d7fae13c445679218d02c619e97f196bf7f5015d5420008",
-    "normalizer G 2 --format json --set a1, a2": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "centralizer G 2 --format json --set a1": "0 8a02ac05285331391e25cbc874ec697b1d2459e76f6b50890b62b3b5039e6558",
-    "centralizer G 2 --format json --set [3,2]": "0 634cfb058b4a01e500c8240c2b8da3e0e358dcdf9de67c65981a951fcf6f1ef4",
-    "check G 2 --format json --set a1, a2": "0 c10f9426a092a43066e8a712b418b4a6739505acc5e051589320b2316a2b52db",
-    "check G 2 --format json --set a1, [3,2]": "0 5b54e2c9894acb26b0baff777ad8250d7654142f6814a545f32b99f7dcc8e0b9",
-    "lattice G 2 --format dot": "0 8e2eee4160c6043ad28dc3cbf76eedd5aab0db21a3315137d145de52056e5d94",
-    "roots G 2 --format text --unicode": "0 c203b111f2945c1908a2adcfa1dc14afadf50c86a2c14ca4e1df65c4f748b0d7",
-    "ideals G 2 --format text --unicode": "0 a2787379372cbe282f622e05b6b97adf8123f0064c63b48dd4fac8c477b29a84",
-    "ideals G 2 --format text --unicode --include-zero": "0 ca2705867c21a2f7689ad3e2bce2685bb0dff5afcce2bee64797d4f7172059be",
-    "abelian G 2 --format text --unicode": "0 22cb1619795f58e1bbd55284b8f3bcf3ee3e3d0ec74889a1221f33db867ce05a",
-    "classify G 2 --format text --unicode": "0 9b829cd55746af10d35e894be8597db046526e094e116a8578093381b6c87f6d",
-    "lattice G 2 --format text --unicode": "0 8238379ae76c0325b910b1131424dd49c30c8816d6312550b86f0ff5efa51111",
-    "normalizer G 2 --format text --unicode --set a1": "0 ae678ceff6f3d8298582d7981e323da3a9cc3669e80bb73044f90e7630064f8b",
-    "normalizer G 2 --format text --unicode --set [3,2]": "0 570b21736802e673c1b6b8ca607cfbe415f745169b62eb11bb8d6a517b37bc13",
-    "normalizer G 2 --format text --unicode --set a1, a2": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "centralizer G 2 --format text --unicode --set a1": "0 ae678ceff6f3d8298582d7981e323da3a9cc3669e80bb73044f90e7630064f8b",
-    "centralizer G 2 --format text --unicode --set [3,2]": "0 570b21736802e673c1b6b8ca607cfbe415f745169b62eb11bb8d6a517b37bc13",
-    "check G 2 --format text --unicode --set a1, a2": "0 628dce8d5a6ec4cf2d84c38452acf35741b3832811c5b887d00f514a484ef239",
-    "check G 2 --format text --unicode --set a1, [3,2]": "0 4be46e3caf841c8d40cf909aa22fa886392c41cc65c75ebbe354283c57f2afa7",
-    "roots G 2 --format json --unicode": "0 2071768db2f1906b0cccf23191ec96ab2a01b144065c0c02bfc5117f407a81db",
-    "ideals G 2 --format json --unicode": "0 de0778093e78b648a6ac1721d921cd25c8d072b01de0e1377a2c49d282daac69",
-    "ideals G 2 --format json --unicode --include-zero": "0 fe3847cd9e6c32b9ee85a19f678f8a3a029e91e625b3cc4fd0cd1125a516476f",
-    "abelian G 2 --format json --unicode": "0 1a8599f4b014e7260d2d63bdbd428a7422b5b2cd02fe331949e8cfcf90d88db5",
-    "classify G 2 --format json --unicode": "0 2a192558aace461fda669e7d9eca913c44305ea44c1b424a6c9f2988d7f169ef",
-    "lattice G 2 --format json --unicode": "0 e192e6d901ef8c717089350ab5190e5c544a80fc6ce33b0a900ddd42e8545963",
-    "normalizer G 2 --format json --unicode --set a1": "0 e64f019ddc52ad7a31407834ad48044569f91230713791f8719112fd95bc765f",
-    "normalizer G 2 --format json --unicode --set [3,2]": "0 5ed97192abc028ef0d7fae13c445679218d02c619e97f196bf7f5015d5420008",
-    "normalizer G 2 --format json --unicode --set a1, a2": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "centralizer G 2 --format json --unicode --set a1": "0 8a02ac05285331391e25cbc874ec697b1d2459e76f6b50890b62b3b5039e6558",
-    "centralizer G 2 --format json --unicode --set [3,2]": "0 634cfb058b4a01e500c8240c2b8da3e0e358dcdf9de67c65981a951fcf6f1ef4",
-    "check G 2 --format json --unicode --set a1, a2": "0 c10f9426a092a43066e8a712b418b4a6739505acc5e051589320b2316a2b52db",
-    "check G 2 --format json --unicode --set a1, [3,2]": "0 5b54e2c9894acb26b0baff777ad8250d7654142f6814a545f32b99f7dcc8e0b9",
-    "lattice G 2 --format dot --unicode": "0 9d286f485059d10c856973ec5923ebcb63d6b87e82f740ea9dda47be96812ba5",
-    "ideals A 4 --format text --oracle": "0 07cdf0675424f9454640461595a93886c373b730b5a36c6095e6c3abe9996615",
-    "ideals A 4 --format text --oracle --include-zero": "0 adc9ba322fcca0bb5f8caadc4534ef44df2ce11f225754fe8cc8b610e4937ab6",
-    "ideals A 4 --format json --oracle": "0 cb52809de055a5185fd23f6f1835bc5b1b575e0bf35a733fcf66d44f8355428d",
-    "ideals A 4 --format json --oracle --include-zero": "0 29565a42dfe01cbfeed1b76debf187f4f7cc3682564f8e7dad689a2a9b7c0e63",
-    "ideals B 3 --format text --oracle": "0 02bb3a875c7d0690d2105c6085713f2a13f0b490105372005b7732cd484fd787",
-    "ideals B 3 --format text --oracle --include-zero": "0 04812837d0915a21c1c03a890717e652dde1f2c801d4bf22c112f31a9cbacc19",
-    "ideals B 3 --format json --oracle": "0 3ee44c13243a819efed9ded72b30523cf1258778a6d8388e2eb6e70647353e7f",
-    "ideals B 3 --format json --oracle --include-zero": "0 c252687333254ec2573d47818a9145a40ed809df99b218fa4c803125121ab39b",
-    "ideals E 7": "0 0e7a5d5e71b548c76c87a680c183c19a630e8f30193a6e4ed7ba0e2f85266f5d",
-    "lattice E 7 --format dot": "0 2f92b106da40c282cb0002a60172deb0e50adeaf9b0cd276d293e4348d5e40c0",
-    "classify E 7 --format json": "0 af8a6659056ed5a9ec90922486a54cb2366ea5ec5dbcdabbdeeabc1406f9e4f9",
-    "ideals E 8": "0 55e9bf309e8ae821d7f94fde77eed36d5f7fd8d4f0f63aba1467bf867f0e6277",
-    "lattice E 8 --format dot": "0 e92b66fa4f1ff62454829417a35924d33fa3708c045ed219ad71192cae33d6eb",
-    "ideals A 9 --format json": "0 8b35f529c7317abf0b3127d32c98865d62a132e0775e0f267082bdf8fdfd27fa",
-    "lattice E 7 --format json": "0 437c7baa1c153307d4b02df6377e912f6969de7a4ef8b57ce5c1a97d8c1441c9",
-    "abelian E 7 --format json": "0 85f358a3477edfbf11add76100da8619b8e465d76ecb4eb10d9747d309956978",
-    "ideals E 7 --format json --include-zero": "0 366381c562fab611b42dabf5bd06ff726dc603097d26f82f70b9e4fdf9a2261f",
-    "classify E 6 --unicode": "0 3ba9e22fd9a15165848d9be6c32c9f7501d3344349def073f6f31e722b8a8007",
-    "lattice E 7": "0 bec4aa60308fd0c4dafc60283a24e2d7e29f4a163525cd3115dd0069e0005b4b",
-    "abelian E 8": "0 c4b71c4fb3e7b9f3351715e4dc503714e4f2dc69445d30a79e838cb4ec4d7241",
-    "abelian A 9 --format json": "0 c59d541d6c2499deb0bc2f9c7dea3df68c9f49615fe9bb67612e1b6d63cbacd3",
-    "classify D 6 --format json": "0 248b072ab5b041f5d8de17ffb2401ffd8cbc56b01ca0ad205355d1b5ce85654c",
-}
-
-
-def test_golden_table_covers_every_case():
-    assert sorted(GOLDEN) == sorted(CASES)
+CASES = [command for command, pin in PINS.items() if CAP not in pin]
 
 
 @pytest.mark.parametrize("command", CASES)
@@ -385,4 +24,13 @@ def test_stdout_bytes_match_golden(command, capsys):
         argv[at:] = [" ".join(argv[at:])]
     status = run(argv)
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert f"{status} {digest}" == GOLDEN[command]
+    assert (status, digest) == PINS[command]
+
+
+def test_every_benchmark_pin_is_in_the_table():
+    # perfbench keeps its own copy until the benchmark reads this table
+    path = Path(__file__).parents[1] / "perfbench" / "golden.json"
+    golden = json.loads(path.read_text(encoding="utf-8"))
+    assert {command: PINS.get(command) for command in golden} == {
+        command: (0, sha256) for command, sha256 in golden.items()
+    }

@@ -35,6 +35,7 @@ from borelideals.ideals import (
 from borelideals.linalg import kernel_basis
 from borelideals.roots import positive_root_count
 from conftest import system
+from reference import exponents
 
 # systems small enough for the exhaustive subset oracle
 ORACLE_SYSTEMS = [
@@ -77,23 +78,6 @@ CLOSED_FORM_SYSTEMS = (
     + [("D", n) for n in range(3, 9)]
     + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 )
-
-
-def coxeter_exponents(family, rank):
-    """Coxeter number h and exponents e_1..e_rank, from the classical tables."""
-    if family == "A":
-        return rank + 1, list(range(1, rank + 1))
-    if family in "BC":
-        return 2 * rank, list(range(1, 2 * rank, 2))
-    if family == "D":
-        return 2 * rank - 2, list(range(1, 2 * rank - 2, 2)) + [rank - 1]
-    return {
-        ("E", 6): (12, [1, 4, 5, 7, 8, 11]),
-        ("E", 7): (18, [1, 5, 7, 9, 11, 13, 17]),
-        ("E", 8): (30, [1, 7, 11, 13, 17, 19, 23, 29]),
-        ("F", 4): (12, [1, 5, 7, 11]),
-        ("G", 2): (6, [1, 5]),
-    }[family, rank]
 
 
 A2_IDEALS = {
@@ -251,10 +235,11 @@ def test_nonzero_ideal_counts(family, rank):
 def test_nonzero_ideal_count_is_weyl_catalan(family, rank):
     # Cellini-Papi / Shi: ad-nilpotent ideals, zero included, number
     # prod (h + e_i + 1) / (e_i + 1); the CLI predicts sizes the same way
-    h, exponents = coxeter_exponents(family, rank)
-    assert len(exponents) == rank
+    es = exponents(family, rank)
+    h = max(es) + 1
+    assert len(es) == rank
     numerator = denominator = 1
-    for e in exponents:
+    for e in es:
         numerator *= h + e + 1
         denominator *= e + 1
     assert numerator % denominator == 0

@@ -2,7 +2,6 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,30 +9,7 @@ from hypothesis import given, settings, strategies as st
 from borelideals import InvalidInputError
 from borelideals.linalg import kernel_basis
 from borelideals.roots import cartan_matrix
-
-
-def rref(rows, width):
-    """Reduced row-echelon form over the rationals; returns the nonzero rows and pivot columns.
-
-    The rational reference for ``kernel_basis``, which works in integers alone.
-    """
-    m = [list(map(Fraction, row)) for row in rows]
-    pivots = []
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        lead = m[r][c]
-        m[r] = [x / lead for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
+from reference import assert_reduced_kernel, rref
 
 
 def test_empty_rows_give_identity_basis():
@@ -109,24 +85,6 @@ def test_kernel_basis_rows_are_reduced_echelon():
 def test_row_width_and_entry_type_rejected(rows):
     with pytest.raises(InvalidInputError):
         kernel_basis(rows, 2)
-
-
-def assert_reduced_kernel(rows, width, basis):
-    """Check that ``basis`` is the normalized kernel of ``rows``.
-
-    Vectors in the kernel, as many as its dimension (by ``rref``), with
-    ascending pivots, each pivot column zero in the other vectors, coprime
-    entries and a positive lead: only one basis has all of these.  The
-    caps checker ``tests/caps.py`` checks the ``classify`` kernels with it
-    too.
-    """
-    assert len(basis) == width - len(rref(rows, width)[0])
-    pivots = [next(i for i, x in enumerate(vec) if x) for vec in basis]
-    assert pivots == sorted(set(pivots))
-    for vec, p in zip(basis, pivots):
-        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
-        assert gcd(*vec) == 1 and vec[p] > 0
-        assert all(other[p] == 0 for other in basis if other is not vec)
 
 
 def cartan_row_subsets(family, rank):

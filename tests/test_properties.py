@@ -24,6 +24,7 @@ from borelideals import (
 )
 from borelideals.cli import parse_root_set, run
 from conftest import system
+from reference import up_closure
 
 SYSTEMS = [("A", 8), ("B", 4), ("D", 5), ("E", 6), ("F", 4), ("G", 2)]
 
@@ -44,9 +45,9 @@ def add(r, s):
     return tuple(a + b for a, b in zip(r, s))
 
 
-def sum_closure(roots, rs):
-    """Smallest superset of ``roots`` closed under sums that are roots."""
-    members = set(rs.positive_roots)
+def sum_closure(roots, positives):
+    """Smallest superset of ``roots`` closed under sums that are in ``positives``."""
+    members = set(positives)
     closed = set(roots)
     while True:
         sums = {add(r, s) for r in closed for s in closed}
@@ -60,11 +61,11 @@ def sum_closure(roots, rs):
 @given(root_sets())
 def test_normalizer_contains_input_is_closed_and_matches_definition(case):
     rs, roots = case
-    sub = monomial_subalgebra(sum_closure(roots, rs), rs)
+    sub = monomial_subalgebra(sum_closure(roots, rs.positive_roots), rs)
     normalizer = monomial_normalizer(sub, rs)
     assert set(sub.roots) <= set(normalizer.roots)
     assert is_monomial_subalgebra(normalizer.roots, rs)
-    assert sum_closure(normalizer.roots, rs) == set(normalizer.roots)
+    assert sum_closure(normalizer.roots, rs.positive_roots) == set(normalizer.roots)
     members, span = set(rs.positive_roots), set(sub.roots)
     assert set(normalizer.roots) == {
         r for r in members if all(add(r, s) not in members - span for s in span)
@@ -75,20 +76,8 @@ def test_normalizer_contains_input_is_closed_and_matches_definition(case):
 @given(root_sets())
 def test_centralizer_lies_inside_normalizer(case):
     rs, roots = case
-    sub = monomial_subalgebra(sum_closure(roots, rs), rs)
+    sub = monomial_subalgebra(sum_closure(roots, rs.positive_roots), rs)
     assert monomial_centralizer(sub, rs) <= set(monomial_normalizer(sub, rs).roots)
-
-
-def up_closure(roots, rs):
-    """Smallest superset of ``roots`` closed under adding simple roots, when the sum is a root."""
-    members = set(rs.positive_roots)
-    closed, todo = set(roots), list(roots)
-    while todo:
-        r = todo.pop()
-        for s in {add(r, a) for a in rs.simple_roots} & members - closed:
-            closed.add(s)
-            todo.append(s)
-    return frozenset(closed)
 
 
 @PROPERTY_SETTINGS
@@ -96,8 +85,8 @@ def up_closure(roots, rs):
 def test_check_json_agrees_with_library_predicates(case, closure):
     rs, roots = case
     if closure:
-        roots = closure(roots, rs)
-    assert is_monomial_ideal(roots, rs) == (up_closure(roots, rs) == roots)
+        roots = closure(roots, rs.positive_roots)
+    assert is_monomial_ideal(roots, rs) == (up_closure(roots, rs.positive_roots) == roots)
     literal = ", ".join(root_ascii(r) for r in roots)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -23,6 +23,7 @@ from borelideals import (
 from borelideals import cli, roots
 from borelideals.roots import MAX_COEFFICIENT, positive_root_count
 from conftest import system
+from reference import epsilon_cartan, epsilon_roots, exponents
 
 # Classical number of positive roots per type.
 EXPECTED_COUNTS = {
@@ -81,45 +82,6 @@ def up_mask_by_tuple_addition(rs, r):
 # 4096 positive roots, and ranks between those and the table systems.
 LARGE_SYSTEMS = [("A", 90), ("B", 64), ("C", 64), ("D", 64)]
 MIDDLE_SYSTEMS = [("B", 30), ("C", 30), ("D", 45)]
-
-
-def _from_epsilon(family, rank, v):
-    """Simple-root coefficients of a vector v in the epsilon basis (Bourbaki, Plates I-IV).
-
-    alpha_i = e_i - e_(i+1) for i < rank (A: for every i <= rank); the last
-    simple root is e_rank (B), 2 e_rank (C) or e_(rank-1) + e_rank (D).
-    """
-    prefix = [sum(v[: i + 1]) for i in range(len(v))]
-    if family == "A":
-        return tuple(prefix[:rank])
-    if family == "B":
-        return tuple(prefix)
-    if family == "C":
-        return (*prefix[:-1], prefix[-1] // 2)
-    # D: c_(n-1) + c_n = v_(n-1) + prefix_(n-2) and c_n - c_(n-1) = v_n
-    s = prefix[rank - 3]
-    return (*prefix[: rank - 2], (v[-2] - v[-1] + s) // 2, (v[-2] + v[-1] + s) // 2)
-
-
-def _epsilon_roots(family, rank):
-    """Positive roots from the epsilon basis: e_i - e_j and e_i + e_j (i < j), e_i (B), 2e_i (C).
-
-    A has e_i - e_j only, in dimension rank + 1.
-    """
-    dim = rank + 1 if family == "A" else rank
-
-    def e(*terms):
-        v = [0] * dim
-        for i, c in terms:
-            v[i] += c
-        return v
-
-    vectors = [e((i, 1), (j, -1)) for i in range(dim) for j in range(i + 1, dim)]
-    if family != "A":
-        vectors += [e((i, 1), (j, 1)) for i in range(dim) for j in range(i + 1, dim)]
-    if family in "BC":
-        vectors += [e((i, 1 if family == "B" else 2)) for i in range(dim)]
-    return [_from_epsilon(family, rank, v) for v in vectors]
 
 
 def test_cartan_matrix_rank2_values():
@@ -262,7 +224,8 @@ def test_reducible_matrix_has_no_unique_highest_root(monkeypatch):
 def test_positive_root_count_closed_form_matches_the_exponents(family, ranks):
     # h = n + 1, 2n, 2n, 2n - 2 for A, B, C, D is the largest exponent plus one
     for rank in ranks:
-        h = max(roots.coxeter_exponents(family, rank)) + 1
+        assert roots.coxeter_exponents(family, rank) == exponents(family, rank)
+        h = max(exponents(family, rank)) + 1
         assert positive_root_count(family, rank) == rank * h // 2
 
 
@@ -281,8 +244,8 @@ def test_large_rank_counts_and_closure(family, rank):
     [*LARGE_SYSTEMS, *MIDDLE_SYSTEMS, ("A", 1), ("A", 7), ("B", 2), ("B", 5), ("C", 2), ("C", 6), ("D", 3)],
 )
 def test_roots_match_epsilon_basis_lists(family, rank):
-    expected = tuple(sorted(_epsilon_roots(family, rank), key=root_sort_key))
-    assert generate_positive_roots(cartan_matrix(family, rank)) == expected
+    assert cartan_matrix(family, rank) == epsilon_cartan(family, rank)
+    assert generate_positive_roots(cartan_matrix(family, rank)) == epsilon_roots(family, rank)
 
 
 @pytest.mark.parametrize(
