@@ -10,9 +10,10 @@ Each subcommand's parser carries its handler (``build_parser``), a generator
 of text chunks, written as they come.  A handler makes every check before its
 first chunk, so an error never follows output.  Ideal listings arrive one
 dimension layer at a time, but each chunk is one line, one JSON entry, one DOT
-node or one cover, its roots joined a byte of the mask at a time from strings
-made once per command and byte value (``roots.mask_joiner``);
-``_write_chunks`` alone batches them into writes.  Stdout is UTF-8, as ``--out`` is.
+node or one cover.  A chunk that lists roots is one join, head and tail
+included, of strings made once per command and byte value of the mask
+(``roots.mask_joiner``); ``_write_chunks`` alone batches them into writes.
+Stdout is UTF-8, as ``--out`` is.
 Every JSON document starts from ``_json_document``, its ``family`` and ``rank`` head.
 
 Only ``errors`` and ``roots`` load with this module.  Each handler imports the
@@ -138,21 +139,19 @@ def _json_list(items: Iterable[str], depth: int) -> Iterator[str]:
 
 
 def _entry_renderer(rs: RootSystem, depth: int) -> Callable[..., str]:
-    """JSON text of an ideal's entry nested ``depth`` deep, its root blocks joined a byte at a time.
+    """JSON text of an ideal's entry nested ``depth`` deep, made by one join (``roots.mask_joiner``).
 
     The entry holds the ideal's roots, its dimension, its abelian flag and
     then ``rest``: further members, each led by a comma and a new line.
     """
     pad = "\n" + " " * depth
-    join = mask_joiner([f",{pad}    {_json_block(list(r), depth + 4)}" for r in rs.positive_roots])
+    blocks = [f"{pad}    {_json_block(list(r), depth + 4)}" for r in rs.positive_roots]
+    join = mask_joiner(blocks, ",", "[", f"{pad}  ]", "[]")
+    head = f'{{{pad}  "roots": '
     flags = {a: f',{pad}  "abelian": {json.dumps(a)}' for a in (False, True)}
 
     def entry(mask: int, abelian: bool, rest: str = "") -> str:
-        roots = f"[{join(mask)[1:]}{pad}  ]" if mask else "[]"
-        return (
-            f'{{{pad}  "roots": {roots},{pad}  "dimension": {mask.bit_count()}'
-            f"{flags[abelian]}{rest}{pad}}}"
-        )
+        return join(mask, head, f',{pad}  "dimension": {mask.bit_count()}{flags[abelian]}{rest}{pad}}}')
 
     return entry
 
@@ -166,8 +165,8 @@ def _listing_document(rs: RootSystem, entries: Iterable[str], counts: _Counts, *
     yield f',\n  "counts": {_json_block(counts.result()._asdict(), 2)}\n}}\n'
 
 
-def _text_lines(layers: Iterable[Iterable[int]], render: Callable[[int], str]) -> Iterator[str]:
-    return (f"{render(m)}\n" for layer in layers for m in layer)
+def _text_lines(layers: Iterable[Iterable[int]], render: Callable[..., str]) -> Iterator[str]:
+    return (render(m, "", "\n") for layer in layers for m in layer)
 
 
 def _cartan_combo_ascii(vec: Iterable[int], unicode_alpha: bool = False) -> str:
@@ -241,7 +240,7 @@ def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
             )
         basis = "; ".join(_cartan_combo_ascii(v, u) for v in kernel.vectors) or "-"
         mark = " | mixed" if mixed else ""
-        return f" | kernel dim {kernel.dimension} | kernel basis: {basis}{mark}"
+        return f" | kernel dim {kernel.dimension} | kernel basis: {basis}{mark}\n"
 
     if args.format == "json":
         counts = _Counts(rs)
@@ -252,7 +251,7 @@ def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
     render = _mask_renderer(rs, u)
     yield f"note: {NOTE_GENERAL_IDEALS}\n"
     for m in chain.from_iterable(layers):
-        yield f"{render(m)}{suffix[~m & simple]}\n"
+        yield render(m, "", suffix[~m & simple])
 
 
 def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:
@@ -277,7 +276,7 @@ def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:
         count = nonzero_ideal_count(rs.family, rs.rank) + 1
         yield f"nodes ({count}):\n"
         for i, m in enumerate(chain.from_iterable(layers)):
-            yield f"{i}: {render(m)}\n"
+            yield render(m, f"{i}: ", "\n")
         # An ideal covers one ideal per minimal root.  Antichains of the root
         # poset counted by size are symmetric under k <-> rank - k
         # (Athanasiadis), so the covers number rank * nodes / 2.
@@ -295,7 +294,7 @@ def _cmd_set_query(args, rs: RootSystem) -> Iterator[str]:
     if args.format == "json":
         yield _json_document(rs, set=_vectors(rs.roots_of(mask)), **{args.command: _vectors(rs.roots_of(result))})
     else:
-        yield _mask_renderer(rs, args.unicode)(result) + "\n"
+        yield _mask_renderer(rs, args.unicode)(result, "", "\n")
 
 
 def _cmd_check(args, rs: RootSystem) -> Iterator[str]:
@@ -311,7 +310,7 @@ def _cmd_check(args, rs: RootSystem) -> Iterator[str]:
     if args.format == "json":
         yield _json_document(rs, set=_vectors(rs.roots_of(mask)), checks=checks)
         return
-    yield f"set: {_mask_renderer(rs, args.unicode)(mask)}\n"
+    yield _mask_renderer(rs, args.unicode)(mask, "set: ", "\n")
     yield f"monomial ideal: {'yes' if checks['is_monomial_ideal'] else 'no'}\n"
     yield f"monomial subalgebra: {'yes' if checks['is_monomial_subalgebra'] else 'no'}\n"
     yield f"abelian set: {'yes' if checks['is_abelian_set'] else 'no'}\n"

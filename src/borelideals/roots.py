@@ -392,36 +392,36 @@ def mask_indices(mask: int) -> list[int]:
     return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
 
-def mask_joiner(pieces: Sequence[str]) -> Callable[[int], str]:
-    """``join(mask)``: the pieces of the mask's set bits, ascending, joined a byte at a time.
+def mask_joiner(items: Sequence[str], sep: str, opening: str, closing: str, empty: str) -> Callable[..., str]:
+    """``join(mask, head="", tail="")``: ``head``, the mask's items listed, then ``tail``, in one ``"".join``.
 
-    ``pieces[g]`` stands for bit g.  The rows fill lazily, so joining few masks builds few strings.
+    ``items[g]`` stands for bit g.  The list is ``opening``, the set bits' items in ascending order
+    with ``sep`` between them and ``closing``, or ``empty`` for the zero mask.  The lowest bit's item
+    has ``opening`` fused on; the others come from rows of ``sep`` + item, one row per byte of the
+    mask, which fill lazily, so joining few masks builds few strings.
     """
-    size = (len(pieces) + 7) // 8
+    size = (len(items) + 7) // 8
+    first = [opening + item for item in items]
 
-    def row(few: Sequence[str]) -> _Lazy:  # byte value b to the joined pieces of its set bits
-        return _Lazy(lambda b: "".join([p for i, p in enumerate(few) if b >> i & 1]))
+    def row(few: Sequence[str]) -> _Lazy:  # byte value b to the joined items of its set bits
+        return _Lazy(lambda b: "".join([sep + item for i, item in enumerate(few) if b >> i & 1]))
 
-    rows = [row(pieces[k : k + 8]) for k in range(0, len(pieces), 8)]
+    rows = [row(items[k : k + 8]) for k in range(0, len(items), 8)]
     get = dict.__getitem__  # calls __missing__, as dict.get would not
 
-    def join(mask: int) -> str:
-        return "".join(map(get, rows, mask.to_bytes(size, "little")))
+    def join(mask: int, head: str = "", tail: str = "") -> str:
+        if not mask:
+            return "".join((head, empty, tail))
+        low = mask & -mask
+        rest = map(get, rows, (mask ^ low).to_bytes(size, "little"))
+        return "".join((head, first[low.bit_length() - 1], *rest, closing, tail))
 
     return join
 
 
-def _mask_renderer(rs: RootSystem, unicode_alpha: bool = False) -> Callable[[int], str]:
-    """Render the root set of a mask as "[X[a1], X[a1+a2]]", "0" when empty.
-
-    Its ", X[label]" pieces are joined a byte at a time (``mask_joiner``).
-    """
-    join = mask_joiner([f", X[{label}]" for label in rs.labels(unicode_alpha)])
-
-    def render(mask: int) -> str:
-        return f"[{join(mask)[2:]}]" if mask else "0"
-
-    return render
+def _mask_renderer(rs: RootSystem, unicode_alpha: bool = False) -> Callable[..., str]:
+    """``render(mask, head="", tail="")``: head, the roots as "[X[a1], X[a1+a2]]" ("0" when empty), tail."""
+    return mask_joiner([f"X[{label}]" for label in rs.labels(unicode_alpha)], ", ", "[", "]", "0")
 
 
 def root_system(family: str, rank: int) -> RootSystem:

@@ -4,12 +4,12 @@
 
 pytest does not collect this file.  It runs the rows of ``tests/pins.py``
 marked ``CAP``, checks them against ``tests/reference.py`` and needs neither
-pytest nor hypothesis.  ``run`` spawns a row's command once and
-reads its stdout in 1 MiB blocks, hashed as the row's check reads them; no line
-is held.  The pipe is widened from 64 KiB to 1 MiB, so the child writes ahead
-of the reads instead of waiting on each one.  A row fails on a nonzero exit, a
-wrong sha256, a failed check, a peak RSS over 64 MiB or a run past its time
-limit; the exit status is 1 if any did.
+pytest nor hypothesis.  ``run`` spawns a row's command once and reads its
+stdout in 1 MiB blocks, hashed as the row's check reads them; no line of a
+listing is held.  The pipe is widened from 64 KiB to 1 MiB, so the child
+writes ahead of the reads instead of waiting on each one.  A row fails on a
+nonzero exit, a wrong sha256, a failed check, a peak RSS over 64 MiB or a run
+past its time limit; the exit status is 1 if any did.
 """
 
 import contextlib
@@ -130,7 +130,7 @@ def lattice_json_ok(argv, blocks):
     for piece in pieces(blocks, b"["):
         at = 0  # where the piece's edges begin
         if nodes:
-            at = piece.find(b'"edges"')
+            at = piece.find(b'"edges"', piece.rfind(b'"abelian"') + 1)  # no node follows the "edges" key
             nodes = at < 0
             at = len(piece) if nodes else at
             below += bytes(piece.count(b'"abelian": ', 0, at))
@@ -158,6 +158,55 @@ def roots_ok(argv, blocks):
                 root[int(i) - 1] += int(c or 1)
             got.append(tuple(root))
     return headed and got == [*want, want[-1]]
+
+
+SET_TERM = re.compile(r"\[[^\]]*\]|[^,\s]+")  # a term of a --set literal: a raw vector or a label
+
+
+def set_query_ok(argv, blocks):
+    """Type A ``normalizer``, ``centralizer`` or ``check`` text: the bytes recomputed from intervals.
+
+    A root a_(i+1) + ... + a_j is the interval [i, j) of simple roots, and two
+    roots sum to a root only as [a, c) + [c, d) = [a, d).  So each root meets
+    its partners in the set through the members that start where it ends or
+    end where it starts: O(rank) of them.  The output is one line, or four for
+    ``check``, under 1 MB at A90, and is compared whole.
+    """
+    command, rank = argv[0], int(argv[2])
+    spans = [(r.index(1), r.index(1) + sum(r)) for r in epsilon_roots("A", rank)]  # canonical order
+    chosen = set()
+    for term in SET_TERM.findall(argv[argv.index("--set") + 1]):
+        root = [0] * rank
+        if term.startswith("["):
+            root = [int(c) for c in term[1:-1].split(",")]
+        for c, i in re.findall(r"(\d*)a(\d+)", term):
+            root[int(i) - 1] += int(c or 1)
+        chosen.add((root.index(1), root.index(1) + sum(root)))
+    starting, ending = {}, {}  # the members by where they start, and by where they end
+    for a, b in chosen:
+        starting.setdefault(a, []).append(b)
+        ending.setdefault(b, []).append(a)
+
+    def sums(a, b):  # the roots [a, b) + s for the members s that sum with it to a root
+        return [(a, d) for d in starting.get(b, ())] + [(c, b) for c in ending.get(a, ())]
+
+    def text(kept):
+        labels = ", ".join("X[" + "+".join(f"a{k + 1}" for k in range(a, b)) + "]" for a, b in kept)
+        return f"[{labels}]" if kept else "0"
+
+    if command == "check":
+        yes = {True: "yes", False: "no"}
+        grown = [(a - 1, b) for a, b in chosen if a] + [(a, b + 1) for a, b in chosen if b < rank]  # + a simple root
+        ideal = all(t in chosen for t in grown)
+        closed = all(t in chosen for s in chosen for t in sums(*s))
+        abelian = not any(sums(*s) for s in chosen)
+        want = (f"set: {text([s for s in spans if s in chosen])}\nmonomial ideal: {yes[ideal]}\n"
+                f"monomial subalgebra: {yes[closed]}\nabelian set: {yes[abelian]}\n")
+    elif command == "normalizer":
+        want = text([s for s in spans if all(t in chosen for t in sums(*s))]) + "\n"
+    else:
+        want = text([s for s in spans if not sums(*s)]) + "\n"
+    return b"".join(blocks) == want.encode()
 
 
 HELD = re.compile(rb"\[(X\[a\d+\](?:, X\[a\d+\])*)[,\]]")  # a classify line's leading simple roots
@@ -214,12 +263,18 @@ def kernels_ok(argv, blocks):
     return first.startswith(b"note: ") and got == want and len(pairs) == len(sets) == 1 << rank
 
 
-CHECKS = {  # cap row: the closed form its output is checked against; the other rows are pinned by their hash alone
+CHECKS = {  # cap row: the independent check of its output; the other row is pinned by its hash alone
     "roots A 90": roots_ok,
     "roots A 90 --unicode": roots_ok,
     "roots B 64": roots_ok,
     "roots C 64": roots_ok,
     "roots D 64": roots_ok,
+    "check A 90 --set HIGH": set_query_ok,
+    "normalizer A 90 --set HIGH": set_query_ok,
+    "centralizer A 90 --set HIGH": set_query_ok,
+    "check A 90 --set CLOSED": set_query_ok,
+    "normalizer A 90 --set CLOSED": set_query_ok,
+    "centralizer A 90 --set CLOSED": set_query_ok,
     "abelian A 12": abelian_ok,
     "abelian A 12 --format json": abelian_ok,
     "abelian B 11": abelian_ok,

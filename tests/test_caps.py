@@ -1,10 +1,10 @@
 """The caps checker (``tests/caps.py``) on small systems.
 
-Each closed-form check accepts a stream made in process, fed in blocks small
-enough that lines and root labels straddle them, and rejects the stream with
-one planted fault.  The runner passes a right row and names a wrong one.
-The checker and its references import without pytest, hypothesis or the
-program.
+Each check, a closed form or the set queries' recomputed bytes, accepts a
+stream made in process, fed in blocks small enough that lines and root labels
+straddle them, and rejects the stream with one planted fault.  The runner
+passes a right row and names a wrong one.  The checker and its references
+import without pytest, hypothesis or the program.
 """
 
 import hashlib
@@ -18,7 +18,7 @@ import pytest
 
 from borelideals.cli import run
 from caps import CHECKS as CAP_CHECKS
-from caps import LIMITS, abelian_ok, ideals_ok, kernels_ok, lattice_json_ok, lattice_ok, roots_ok
+from caps import LIMITS, abelian_ok, ideals_ok, kernels_ok, lattice_json_ok, lattice_ok, roots_ok, set_query_ok
 from caps import run as run_row
 from pins import CAP, PINS
 
@@ -36,6 +36,11 @@ CHECKS = {
     "roots D 5": roots_ok,
     "abelian B 4": abelian_ok,
     "abelian B 4 --format json": abelian_ok,
+    "normalizer A 8 --set a1,a2,a1+a2": set_query_ok,
+    "centralizer A 8 --set a1,a2,a1+a2": set_query_ok,
+    "check A 8 --set a1,a2,a1+a2": set_query_ok,
+    # a8, a7+a8 and a6+a7+a8 as raw vectors: abelian and closed, but a5+a6+a7+a8 is missing
+    "check A 8 --set [0,0,0,0,0,1,1,1],[0,0,0,0,0,0,1,1],[0,0,0,0,0,0,0,1]": set_query_ok,
 }
 
 
@@ -68,6 +73,10 @@ def test_each_check_accepts_its_stream(command, size, capsys):
         ("abelian B 4", rb"\n[^\n]+\n", b"\n"),
         ("roots A 8", rb", a1\+a2,", b", a1+a3,"),  # one root label changed
         ("roots D 5", rb", a3\+a5,", b", a3+a4,"),
+        ("normalizer A 8 --set a1,a2,a1+a2", rb", X\[[^\]]*\]", b""),  # one root dropped
+        ("centralizer A 8 --set a1,a2,a1+a2", rb"X\[a4\], ", b""),
+        ("check A 8 --set a1,a2,a1+a2", rb"yes", b"no"),  # one answer flipped
+        ("check A 8 --set [0,0,0,0,0,1,1,1],[0,0,0,0,0,0,1,1],[0,0,0,0,0,0,0,1]", rb"ideal: no", b"ideal: yes"),
     ],
 )
 def test_each_check_rejects_a_planted_fault(command, fault, planted, capsys):

@@ -1,10 +1,13 @@
 """Byte-wise rendering of root sets: text and JSON entries, on ideals and on any mask.
 
-``_mask_renderer`` and ``_entry_renderer`` join per-byte strings of the mask,
-so the cases that matter are masks whose set bits sit at slice boundaries
-(bits 7 and 8), systems whose root count is or is not a whole number of
-bytes, and masks that are not ideals at all (``normalizer``, ``centralizer``
-and ``check`` render those).
+``_mask_renderer`` and ``_entry_renderer`` make each line with one join
+(``mask_joiner``): the caller's head, the lowest set bit's item with the
+opening bracket fused on, per-byte strings of the other bits, then the
+closing bracket and the caller's tail.  So the cases that matter are the
+zero mask, masks whose set bits sit at slice boundaries (bits 7 and 8) or
+whose first byte is empty, systems whose root count is or is not a whole
+number of bytes, and masks that are not ideals at all (``normalizer``,
+``centralizer`` and ``check`` render those).
 """
 
 import inspect
@@ -52,7 +55,8 @@ def test_mask_renderer_matches_ideal_ascii(case, unicode_alpha):
     rs, masks = case()
     render = _mask_renderer(rs, unicode_alpha)
     for m in masks:
-        assert render(m) == ideal_ascii(_ideal_from_mask(m, rs), unicode_alpha)
+        text = ideal_ascii(_ideal_from_mask(m, rs), unicode_alpha)
+        assert render(m) == text and render(m, "head ", " tail\n") == f"head {text} tail\n"
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -61,21 +65,38 @@ def test_entry_renderer_reads_back(case):
     entry = _entry_renderer(rs, 4)
     for i, m in enumerate(masks):
         abelian = i % 2 == 0
-        decoded = json.loads(entry(m, abelian))
-        assert decoded == {
+        want = {
             "roots": [list(r) for r in _ideal_from_mask(m, rs).roots],
             "dimension": m.bit_count(),
             "abelian": abelian,
         }
+        assert json.loads(entry(m, abelian)) == want
+        assert entry(m, abelian) == json.dumps(want, indent=2).replace("\n", "\n    ")
 
 
 def test_mask_joiner_fills_its_rows_lazily():
     # a command that renders one mask of a large system must not build the
     # 256 strings of every byte slice
-    pieces = [f"<{g}>" for g in range(820)]
-    join = mask_joiner(pieces)
+    items = [f"<{g}>" for g in range(820)]
+    join = mask_joiner(items, ",", "(", ")", "-")
     rows = inspect.getclosurevars(join).nonlocals["rows"]
     assert len(rows) == 103 and not any(rows)
-    assert join(1 << 8 | 1 << 819 | 1) == "<0><8><819>"
+    assert join(1 << 8 | 1 << 819 | 1) == "(<0>,<8>,<819>)"
     assert sum(map(len, rows)) == len(rows)  # one byte value read per slice
-    assert join(0) == "" and join((1 << 820) - 1) == "".join(pieces)
+    assert join(0) == "-" and join((1 << 820) - 1) == f"({','.join(items)})"
+
+
+@pytest.mark.parametrize(
+    "sep,opening,closing,empty",
+    [(", ", "[", "]", "0"), (",", "[", "\n    ]", "[]")],  # text, and JSON as an entry nests it
+    ids=["text", "json"],
+)
+def test_mask_joiner_puts_the_head_and_tail_around_one_list(sep, opening, closing, empty):
+    items = [f"<{g}>" for g in range(20)]  # 20 items: the last byte is partly used
+    join = mask_joiner(items, sep, opening, closing, empty)
+    assert join(0, "head ", " tail") == f"head {empty} tail"
+    for g in (0, 7, 8, 19):  # the byte edges and the last item: the bracket fused on, no separator
+        assert join(1 << g, "head ", " tail") == f"head {opening}<{g}>{closing} tail"
+    first_byte_empty = 1 << 8 | 1 << 9 | 1 << 19
+    assert join(first_byte_empty, "head ", " tail") == f"head {opening}<8>{sep}<9>{sep}<19>{closing} tail"
+    assert join(first_byte_empty) == f"{opening}<8>{sep}<9>{sep}<19>{closing}"
