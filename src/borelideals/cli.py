@@ -10,9 +10,10 @@ Each subcommand's parser carries its handler (``build_parser``), a generator
 of text chunks, written as they come.  A handler makes every check before its
 first chunk, so an error never follows output.  Ideal listings arrive one
 dimension layer at a time, but each chunk is one line, one JSON entry, one DOT
-node or one cover.  A chunk that lists roots is one join, head and tail
-included, of strings made once per command and byte value of the mask
-(``roots.mask_joiner``); ``_write_chunks`` alone batches them into writes.
+node or one cover.  A chunk that lists roots is one join, its separator, head
+and tail included, of strings made once per command and byte value of the mask
+(``roots.mask_joiner``): a JSON entry leads with its own comma, and a DOT node
+line is joined around its label.  ``_write_chunks`` alone batches them into writes.
 Stdout is UTF-8, as ``--out`` is.
 Every JSON document starts from ``_json_document``, its ``family`` and ``rank`` head.
 
@@ -129,17 +130,15 @@ def _json_block(value, depth: int) -> str:
 
 
 def _json_list(items: Iterable[str], depth: int) -> Iterator[str]:
-    """A list nested ``depth`` deep, one chunk per item rendered ``depth + 2`` deep."""
-    pad = "\n" + " " * (depth + 2)
-    sep = "["
-    for item in items:
-        yield f"{sep}{pad}{item}"
-        sep = ","
-    yield "[]" if sep == "[" else "\n" + " " * depth + "]"
+    """A list nested ``depth`` deep of items rendered ``depth + 2`` deep, each led by ","; no listing is empty."""
+    items = iter(items)
+    yield "[" + next(items)[1:]
+    yield from items
+    yield "\n" + " " * depth + "]"
 
 
 def _entry_renderer(rs: RootSystem, depth: int) -> Callable[..., str]:
-    """JSON text of an ideal's entry nested ``depth`` deep, made by one join (``roots.mask_joiner``).
+    """An ``_json_list`` item: ",", a new line and an ideal's entry nested ``depth`` deep, in one join.
 
     The entry holds the ideal's roots, its dimension, its abelian flag and
     then ``rest``: further members, each led by a comma and a new line.
@@ -147,11 +146,13 @@ def _entry_renderer(rs: RootSystem, depth: int) -> Callable[..., str]:
     pad = "\n" + " " * depth
     blocks = [f"{pad}    {_json_block(list(r), depth + 4)}" for r in rs.positive_roots]
     join = mask_joiner(blocks, ",", "[", f"{pad}  ]", "[]")
-    head = f'{{{pad}  "roots": '
+    head = f',{pad}{{{pad}  "roots": '
+    dimensions = [f',{pad}  "dimension": {d}' for d in range(len(blocks) + 1)]
     flags = {a: f',{pad}  "abelian": {json.dumps(a)}' for a in (False, True)}
+    close = pad + "}"
 
     def entry(mask: int, abelian: bool, rest: str = "") -> str:
-        return join(mask, head, f',{pad}  "dimension": {mask.bit_count()}{flags[abelian]}{rest}{pad}}}')
+        return join(mask, head, dimensions[mask.bit_count()], flags[abelian], rest, close)
 
     return entry
 
@@ -261,14 +262,12 @@ def _cmd_lattice(args, rs: RootSystem) -> Iterator[str]:
     layers = _enumerate_masks(rs)  # the nodes; the covers, its steps, come from a second search
     render = _mask_renderer(rs, args.unicode)
     if args.format == "dot":
-        nodes = ((render(m), a) for m, a in _Counts(rs).walk(layers))
-        yield from _dot_chunks(nodes, _cover_edges(rs), DotOptions())
+        yield from _dot_chunks(_Counts(rs).walk(layers), _cover_edges(rs), DotOptions(), render)
     elif args.format == "json":
-        entry = _entry_renderer(rs, 6)
         pad = "\n" + " " * 6
-        edges = (f"[{pad}  {a},{pad}  {b}{pad}]" for a, b in _cover_edges(rs))
+        edges = (f",{pad}[{pad}  {a},{pad}  {b}{pad}]" for a, b in _cover_edges(rs))
         yield _json_document(rs).removesuffix("\n}\n") + ',\n  "lattice": {\n    "nodes": '
-        yield from _json_list(starmap(entry, _Counts(rs).walk(layers)), 4)
+        yield from _json_list(starmap(_entry_renderer(rs, 6), _Counts(rs).walk(layers)), 4)
         yield ',\n    "edges": '
         yield from _json_list(edges, 4)
         yield "\n  }\n}\n"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InvalidInputError
 from .ideals import (
@@ -98,21 +98,25 @@ def export_dot(lattice: IdealLattice, options: DotOptions | None = None) -> str:
     name = opts.graph_name
     if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name.lower() in _DOT_KEYWORDS:
         raise InvalidInputError(f"graph name is not a DOT identifier: {name!r}")
-    labels = (ideal_ascii(node, opts.unicode_alpha) for node in lattice.nodes)
-    return "".join(_dot_chunks(zip(labels, lattice.abelian), lattice.cover_edges, opts))
+
+    def render(node: MonomialIdeal, head: str, tail: str) -> str:
+        return "".join((head, ideal_ascii(node, opts.unicode_alpha), tail))
+
+    return "".join(_dot_chunks(zip(lattice.nodes, lattice.abelian), lattice.cover_edges, opts, render))
 
 
 def _dot_chunks(
-    nodes: Iterable[tuple[str, bool]], edges: Iterable[tuple[int, int]], opts: DotOptions
+    nodes: Iterable[tuple[object, bool]], edges: Iterable[tuple[int, int]], opts: DotOptions, render: Callable[..., str]
 ) -> Iterator[str]:
-    """DOT text of a lattice, one chunk per (rendered label, abelian) node and per cover.
+    """DOT text of a lattice, one chunk per (node, abelian) pair and per cover.
 
-    Nodes are numbered in the order they arrive.
+    Nodes are numbered in the order they arrive; a node's line is ``render(node, head, tail)``, one join.
     """
     yield f"digraph {opts.graph_name} {{\n  rankdir=BT;\n  node [shape=box];\n"
     fill = ', style=filled, fillcolor="lightgrey"' if opts.mark_abelian else ""
-    for i, (label, abelian) in enumerate(nodes):
-        yield f'  n{i} [label="{label}"{fill if abelian else ""}];\n'
+    tails = ('"];\n', f'"{fill}];\n')  # a plain node, an abelian one
+    for i, (node, abelian) in enumerate(nodes):
+        yield render(node, f'  n{i} [label="', tails[abelian])
     for smaller, larger in edges:
         yield f"  n{smaller} -> n{larger};\n"
     yield "}\n"

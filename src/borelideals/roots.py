@@ -98,10 +98,6 @@ def positive_root_count(family: str, rank: int) -> int:
     return rank * h // 2
 
 
-def _chain_edges(rank: int) -> list[tuple[int, int]]:
-    return [(i, i + 1) for i in range(rank - 1)]
-
-
 def cartan_matrix(family: str, rank: int) -> CartanMatrix:
     """Cartan matrix with entry[i][j] = <alpha_i, alpha_j^v> = 2(a_i,a_j)/(a_j,a_j).
 
@@ -117,8 +113,8 @@ def cartan_matrix(family: str, rank: int) -> CartanMatrix:
         m[j][i] = ji
 
     if family in ("A", "B", "C", "D"):
-        for i, j in _chain_edges(rank if family != "D" else rank - 1):
-            link(i, j)
+        for i in range(rank - 2 if family == "D" else rank - 1):  # the chain a1 - a2 - ...
+            link(i, i + 1)
         if family == "B":
             m[rank - 2][rank - 1] = -2  # alpha_rank is the short root
         elif family == "C":
@@ -393,7 +389,7 @@ def mask_indices(mask: int) -> list[int]:
 
 
 def mask_joiner(items: Sequence[str], sep: str, opening: str, closing: str, empty: str) -> Callable[..., str]:
-    """``join(mask, head="", tail="")``: ``head``, the mask's items listed, then ``tail``, in one ``"".join``.
+    """``join(mask, head="", *tail)``: ``head``, the mask's items listed, then the ``tail`` pieces, in one ``"".join``.
 
     ``items[g]`` stands for bit g.  The list is ``opening``, the set bits' items in ascending order
     with ``sep`` between them and ``closing``, or ``empty`` for the zero mask.  The lowest bit's item
@@ -409,18 +405,18 @@ def mask_joiner(items: Sequence[str], sep: str, opening: str, closing: str, empt
     rows = [row(items[k : k + 8]) for k in range(0, len(items), 8)]
     get = dict.__getitem__  # calls __missing__, as dict.get would not
 
-    def join(mask: int, head: str = "", tail: str = "") -> str:
+    def join(mask: int, head: str = "", *tail: str) -> str:
         if not mask:
-            return "".join((head, empty, tail))
+            return "".join((head, empty, *tail))
         low = mask & -mask
         rest = map(get, rows, (mask ^ low).to_bytes(size, "little"))
-        return "".join((head, first[low.bit_length() - 1], *rest, closing, tail))
+        return "".join((head, first[low.bit_length() - 1], *rest, closing, *tail))
 
     return join
 
 
 def _mask_renderer(rs: RootSystem, unicode_alpha: bool = False) -> Callable[..., str]:
-    """``render(mask, head="", tail="")``: head, the roots as "[X[a1], X[a1+a2]]" ("0" when empty), tail."""
+    """``render(mask, head="", *tail)``: head, the roots as "[X[a1], X[a1+a2]]" ("0" when empty), tail."""
     return mask_joiner([f"X[{label}]" for label in rs.labels(unicode_alpha)], ", ", "[", "]", "0")
 
 

@@ -15,6 +15,7 @@ past its time limit; the exit status is 1 if any did.
 import contextlib
 import fcntl
 import hashlib
+import json
 import math
 import re
 import subprocess
@@ -212,12 +213,16 @@ def set_query_ok(argv, blocks):
 HELD = re.compile(rb"\[(X\[a\d+\](?:, X\[a\d+\])*)[,\]]")  # a classify line's leading simple roots
 SUFFIX = re.compile(r"kernel dim (\d+) \| kernel basis: (-|(?:[+-]?\d*H\[a\d+\]|; )+)( \| mixed)?")
 TERM = re.compile(r"([+-]?)(\d*)H\[a(\d+)\]")
+UNIT = rb"\[(?:\s*0,)*\s*1(?:,\s*0)*\s*\]"  # a JSON vector of zeros and one 1: a simple root
+ENTRY = re.compile(  # a classify JSON entry: its leading simple roots, then its kernel members
+    rb'"roots": \[((?:\s*%s,?)*)[^"]*"dimension": \d+,\s*"abelian": (?:true|false),\s*'
+    rb'"kernel_dimension": (\d+),\s*"kernel_basis": ([^"]*),\s*"mixed": (true|false)' % UNIT
+)
 
 
-def kernel_dim(cartan, missing, suffix):
-    """The dimension a ``classify`` suffix states, or None unless it states the kernel of the rows in ``missing``."""
-    rank = len(cartan)
-    m = SUFFIX.fullmatch(suffix)
+def text_kernel(suffix, rank):
+    """The (dimension, basis, mixed) a ``classify`` text suffix states, or None if it is malformed."""
+    m = SUFFIX.fullmatch(suffix.decode())
     if not m:
         return None
     basis = []
@@ -226,8 +231,26 @@ def kernel_dim(cartan, missing, suffix):
         for sign, c, i in TERM.findall(combo):
             vec[int(i) - 1] += int(sign + (c or "1"))
         basis.append(vec)
-    mixed = bool(basis) and bool(missing)  # "| mixed" marks exactly these
-    if not int(m[1]) == len(basis) == rank - len(missing) or (m[3] is not None) != mixed:
+    return int(m[1]), basis, m[3] is not None
+
+
+def json_kernel(dimension, basis, mixed):
+    """The (dimension, basis, mixed) a ``classify`` JSON entry's kernel members state."""
+    return int(dimension), json.loads(basis), mixed == b"true"
+
+
+def kernel_dim(cartan, missing, stated):
+    """The dimension ``stated`` gives, or None unless it states the kernel of the rows in ``missing``.
+
+    ``stated`` is the (dimension, basis, mixed) a suffix states, or None for a malformed suffix.
+    """
+    rank = len(cartan)
+    if stated is None:
+        return None
+    dimension, basis, mixed = stated
+    if not dimension == len(basis) == rank - len(missing) or any(len(vec) != rank for vec in basis):
+        return None
+    if mixed != (bool(basis) and bool(missing)):  # "mixed" marks exactly these
         return None
     try:
         assert_reduced_kernel([cartan[i] for i in sorted(missing)], rank, basis)
@@ -237,33 +260,45 @@ def kernel_dim(cartan, missing, suffix):
 
 
 def kernels_ok(argv, blocks):
-    """A ``classify`` text listing: its note, one kernel per missing set M, Cat+(M) ideals per kernel dimension.
+    """A ``classify`` listing: its note, one kernel per missing set M, Cat+(M) ideals per kernel dimension.
 
-    Only the distinct (M, suffix) pairs are kept.  Each kernel is checked once, against the Cartan
-    rows in M: type A alone cannot tell rows from columns.
+    M is the simple roots an entry does not lead with: the labels that open a text line, or the
+    unit vectors that open a JSON entry's roots.  JSON is read in pieces cut before each "{", so
+    that no entry straddles two.  Only the distinct (M, suffix) pairs are kept.  Each kernel is
+    checked once, against the Cartan rows in M: type A alone cannot tell rows from columns.
     """
-    rank = int(argv[2])
+    rank, text = int(argv[2]), argv[-1] != "json"
     cartan = epsilon_cartan(argv[1], rank)
     want = Counter()
     for missing in range(1 << rank):
         want[rank - missing.bit_count()] += positive_catalan(cartan, missing)
-    pairs, first = Counter(), None
-    for piece in pieces(blocks):
+    spelled, first = Counter(), None  # (leading simple roots, *suffix) as the stream spells them
+    for piece in pieces(blocks, b"\n" if text else b"{"):
         first = first or piece
-        for line in piece.split(b"\n"):
-            roots, _, suffix = line.partition(b" | ")
-            if suffix:
-                held = HELD.match(roots)
-                pairs[held[1] if held else b"", suffix] += 1
+        if text:
+            for line in piece.split(b"\n"):
+                roots, _, suffix = line.partition(b" | ")
+                if suffix:
+                    held = HELD.match(roots)
+                    spelled[held[1] if held else b"", suffix] += 1
+        else:
+            spelled.update(ENTRY.findall(piece))
+    pairs = Counter()  # (M, suffix)
+    for (simple, *suffix), n in spelled.items():
+        if text:
+            leading = {int(i) - 1 for i in re.findall(rb"\d+", simple)}
+        else:  # the zeros before a unit vector's 1 give its index
+            leading = {vec.count(b"0", 0, vec.index(b"1")) for vec in re.findall(UNIT, simple)}
+        pairs[frozenset(range(rank)) - leading, tuple(suffix)] += n
     got = Counter()
-    for (simple, suffix), n in pairs.items():
-        missing = set(range(rank)) - {int(i) - 1 for i in re.findall(rb"\d+", simple)}
-        got[kernel_dim(cartan, missing, suffix.decode())] += n
-    sets = {simple for simple, _ in pairs}  # one suffix per missing set
-    return first.startswith(b"note: ") and got == want and len(pairs) == len(sets) == 1 << rank
+    for (missing, suffix), n in pairs.items():
+        got[kernel_dim(cartan, missing, text_kernel(*suffix, rank) if text else json_kernel(*suffix))] += n
+    sets = {missing for missing, _ in pairs}  # one suffix per missing set
+    note = first.startswith(b"note: ") if text else b'\n  "note": "' in first
+    return note and got == want and len(pairs) == len(sets) == 1 << rank
 
 
-CHECKS = {  # cap row: the independent check of its output; the other row is pinned by its hash alone
+CHECKS = {  # cap row: the independent check of its output
     "roots A 90": roots_ok,
     "roots A 90 --unicode": roots_ok,
     "roots B 64": roots_ok,
@@ -287,6 +322,7 @@ CHECKS = {  # cap row: the independent check of its output; the other row is pin
     "lattice A 12 --format dot": lattice_ok,
     "lattice A 12": lattice_ok,
     "lattice A 12 --format json": lattice_json_ok,
+    "classify A 12 --format json": kernels_ok,
     "classify A 12": kernels_ok,
     "classify B 11": kernels_ok,
     "classify C 11": kernels_ok,
@@ -299,20 +335,23 @@ def run(command, sha256, check=None, limit=math.inf):
     """Run one row, print its line and return whether it held."""
     argv = [SETS.get(word, word) for word in command.split()]
     start = time.monotonic()
-    child = subprocess.Popen([sys.executable, "-c", CHILD, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    with contextlib.suppress(OSError):  # a system may cap pipes below 1 MiB
-        fcntl.fcntl(child.stdout, fcntl.F_SETPIPE_SZ, 1 << 20)
-    digest = hashlib.sha256()
-    stream = (digest.update(block) or block for block in iter(lambda: child.stdout.read(1 << 20), b""))
-    try:
-        checked = check is None or check(argv, stream)
-    except Exception:  # a stream malformed past what the check parses
-        traceback.print_exc()
-        checked = False
-    for _ in stream:  # what the check left unread
-        pass
-    err = child.stderr.read()
-    code, seconds = child.wait(), time.monotonic() - start
+    # leaving the block closes both pipes and waits for the child
+    with subprocess.Popen(
+        [sys.executable, "-c", CHILD, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as child:
+        with contextlib.suppress(OSError):  # a system may cap pipes below 1 MiB
+            fcntl.fcntl(child.stdout, fcntl.F_SETPIPE_SZ, 1 << 20)
+        digest = hashlib.sha256()
+        stream = (digest.update(block) or block for block in iter(lambda: child.stdout.read(1 << 20), b""))
+        try:
+            checked = check is None or check(argv, stream)
+        except Exception:  # a stream malformed past what the check parses
+            traceback.print_exc()
+            checked = False
+        for _ in stream:  # what the check left unread
+            pass
+        err = child.stderr.read()
+    code, seconds = child.returncode, time.monotonic() - start
     peak = re.search(rb"VmHWM:\s*(\d+)", err)  # none if the child was killed
     peak = int(peak[1]) / 1024 if peak else math.nan
     faults = [fault for fault, bad in (

@@ -24,6 +24,7 @@ from pins import CAP, PINS
 
 CHECKS = {
     "classify B 4": kernels_ok,
+    "classify B 4 --format json": kernels_ok,
     "lattice A 5": lattice_ok,
     "lattice A 5 --format json": lattice_json_ok,
     "lattice C 4 --format dot": lattice_ok,
@@ -64,6 +65,8 @@ def test_each_check_accepts_its_stream(command, size, capsys):
     [
         ("classify B 4", rb"kernel basis: (?=[\dH])", b"kernel basis: -"),  # one kernel sign flipped
         ("classify B 4", rb" \| mixed", b""),
+        ("classify B 4 --format json", rb'"mixed": true', b'"mixed": false'),
+        ("classify B 4 --format json", rb'(?<="kernel_basis": \[\n        \[\n          )\d', b"3"),  # one basis entry
         ("lattice A 5", rb"\n\d+ -> \d+\n", b"\n"),  # one cover line dropped
         ("lattice C 4 --format dot", rb"\n  n\d+ -> n\d+;\n", b"\n"),
         ("lattice A 5 --format json", rb"\[\s*\d+,\s*\d+\s*\],\s*", b""),  # one edge dropped

@@ -1,13 +1,17 @@
-"""Byte-wise rendering of root sets: text and JSON entries, on ideals and on any mask.
+"""Byte-wise rendering of root sets: text lines, JSON entries and DOT nodes, on ideals and on any mask.
 
-``_mask_renderer`` and ``_entry_renderer`` make each line with one join
+``_mask_renderer`` and ``_entry_renderer`` make each chunk with one join
 (``mask_joiner``): the caller's head, the lowest set bit's item with the
 opening bracket fused on, per-byte strings of the other bits, then the
-closing bracket and the caller's tail.  So the cases that matter are the
-zero mask, masks whose set bits sit at slice boundaries (bits 7 and 8) or
-whose first byte is empty, systems whose root count is or is not a whole
+closing bracket and the caller's tail pieces.  So the cases that matter are
+the zero mask, masks whose set bits sit at slice boundaries (bits 7 and 8)
+or whose first byte is empty, systems whose root count is or is not a whole
 number of bytes, and masks that are not ideals at all (``normalizer``,
 ``centralizer`` and ``check`` render those).
+
+A JSON entry leads with its own comma, new line and pad, so ``_json_list``
+passes every entry but the first through as it is; a DOT node line is one
+render call around the node's label, so ``_dot_chunks`` yields it as it is.
 """
 
 import inspect
@@ -17,8 +21,9 @@ import random
 import pytest
 
 from borelideals import ideal_ascii
-from borelideals.cli import _entry_renderer
-from borelideals.ideals import _enumerate_masks, _ideal_from_mask
+from borelideals.cli import _entry_renderer, _json_list
+from borelideals.ideals import _Counts, _enumerate_masks, _ideal_from_mask
+from borelideals.lattice import DotOptions, _dot_chunks
 from borelideals.roots import _mask_renderer, mask_joiner
 from conftest import system
 
@@ -70,8 +75,9 @@ def test_entry_renderer_reads_back(case):
             "dimension": m.bit_count(),
             "abelian": abelian,
         }
-        assert json.loads(entry(m, abelian)) == want
-        assert entry(m, abelian) == json.dumps(want, indent=2).replace("\n", "\n    ")
+        # a list item: its own comma, new line and pad, then the entry
+        assert json.loads(entry(m, abelian).removeprefix(",")) == want
+        assert entry(m, abelian) == ",\n    " + json.dumps(want, indent=2).replace("\n", "\n    ")
 
 
 def test_mask_joiner_fills_its_rows_lazily():
@@ -100,3 +106,32 @@ def test_mask_joiner_puts_the_head_and_tail_around_one_list(sep, opening, closin
     first_byte_empty = 1 << 8 | 1 << 9 | 1 << 19
     assert join(first_byte_empty, "head ", " tail") == f"head {opening}<8>{sep}<9>{sep}<19>{closing} tail"
     assert join(first_byte_empty) == f"{opening}<8>{sep}<9>{sep}<19>{closing}"
+    # a tail in pieces: each put after the list in turn
+    assert join(0, "head ", " ta", "", "il") == f"head {empty} tail"
+    assert join(first_byte_empty, "head ", " ta", "", "il") == f"head {opening}<8>{sep}<9>{sep}<19>{closing} tail"
+
+
+def test_json_list_passes_every_item_but_the_first_through():
+    items = [f",\n    {i}" for i in range(5)]  # each a fresh string, led by its own comma
+    chunks = list(_json_list(iter(items), 2))
+    assert chunks[0] == "[" + items[0][1:]
+    assert len(chunks) == 6 and all(chunk is item for chunk, item in zip(chunks[1:-1], items[1:]))
+    assert chunks[-1] == "\n  ]" and json.loads("".join(chunks)) == list(range(5))
+
+
+@pytest.mark.parametrize("mark_abelian", [True, False])
+def test_dot_chunks_yield_each_node_line_from_one_render_call(mark_abelian):
+    rs = system("G", 2)
+    nodes = list(_Counts(rs).walk(_enumerate_masks(rs)))
+    calls, lines = [], []
+
+    def render(node, *pieces):
+        calls.append((node, *pieces))
+        lines.append(f"<{node}>")  # a fresh string per call
+        return lines[-1]
+
+    chunks = list(_dot_chunks(nodes, [(0, 1)], DotOptions(mark_abelian=mark_abelian), render))
+    fill = ', style=filled, fillcolor="lightgrey"' if mark_abelian else ""
+    assert calls == [(m, f'  n{i} [label="', f'"{fill}];\n' if a else '"];\n') for i, (m, a) in enumerate(nodes)]
+    assert len(chunks) == len(nodes) + 3 and all(chunk is line for chunk, line in zip(chunks[1:], lines))
+    assert chunks[-2:] == ["  n0 -> n1;\n", "}\n"]
