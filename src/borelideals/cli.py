@@ -18,8 +18,8 @@ Stdout is UTF-8, as ``--out`` is.
 Every JSON document starts from ``_json_document``, its ``family`` and ``rank`` head.
 
 Only ``errors`` and ``roots`` load with this module.  Each handler imports the
-rest of what it runs on its first line, so ``roots`` loads nothing more, only
-``lattice`` loads ``lattice``, and only ``classify`` loads ``linalg``.
+rest of what it runs on its first line, so ``roots`` loads nothing more and
+only ``lattice`` loads ``lattice``.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ membership in them, and their number is a listing's abelian total.
 General ideals are the monomial ones enriched by a Cartan part: for a fixed
 root set, the admissible Cartan vectors are exactly those annihilated by
 every root outside the set, an exact integer kernel that depends only on the
-simple roots the set misses and is kept once per system (``RootSystem._kernels``).
+simple roots the set misses, kept once per system (``RootSystem._kernels``).
 
 Inside the package an ideal is a bitmask over the canonical root order (bit g
 stands for ``positive_roots[g]``) from enumeration through rendering and
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import groupby, islice
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .errors import CapacityError, InvalidInputError
 from .roots import (
@@ -36,9 +36,6 @@ from .roots import (
     root_ascii,
     root_sort_key,
 )
-
-if TYPE_CHECKING:
-    from .linalg import IntVector
 
 
 class MonomialIdeal(NamedTuple):
@@ -272,7 +269,7 @@ class CartanKernelBasis(NamedTuple):
     integers with positive leading entries.
     """
 
-    vectors: tuple[IntVector, ...]
+    vectors: tuple[tuple[int, ...], ...]
 
     @property
     def dimension(self) -> int:
@@ -323,7 +320,7 @@ def _classification(missing: int, rs: RootSystem) -> tuple[CartanKernelBasis, bo
     the same space as the Cartan rows of the simple roots missing from the
     ideal (Cellini-Papi).  So there are at most 2^rank kernels.  Every root
     lies above a simple root, so only the whole nilradical misses none.  Each
-    kernel is made once per system, on its first read of ``rs._kernels``.
+    kernel is made on its first read of ``rs._kernels``, one row cut of another.
     """
     kernel = CartanKernelBasis(rs._kernels[missing])
     return kernel, kernel.dimension > 0 and missing != 0

@@ -23,6 +23,7 @@ structure-constant signs are deliberately not modelled.
 from __future__ import annotations
 
 from itertools import compress, count
+from math import gcd
 from operator import add, gt
 from typing import Callable, Iterable, Sequence
 
@@ -239,6 +240,35 @@ class _Lazy(dict):
         return value
 
 
+def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
+    """Divide a nonzero integer vector by its gcd, signed to a positive leading entry."""
+    g = gcd(*vec)
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return tuple(v // g for v in vec)
+
+
+def _cut(basis: Sequence[tuple[int, ...]], row: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The basis of the vectors of ``basis``'s span that ``row`` annihilates.
+
+    A reduced row-echelon basis, cleared to coprime integers with positive
+    leading entries, stays one: the last vector ``out`` with a nonzero pairing
+    a is dropped, and each other vector v with a nonzero pairing b becomes
+    a·v − b·out, made primitive.  It is the last so that the basis stays
+    reduced: out's pivot follows those of the vectors it enters, so their
+    pivots stay; out is zero at their pivot columns; and the vectors after it
+    pair to zero and stay as they are.  A row that pairs to zero with every
+    vector leaves the basis as it is.
+    """
+    pairings = [sum(x * c for x, c in zip(v, row)) for v in basis]
+    if not any(pairings):
+        return tuple(basis)
+    k = max(i for i, b in enumerate(pairings) if b)
+    out, a = basis[k], pairings[k]
+    entered = (_primitive([a * x - b * y for x, y in zip(v, out)]) if b else v for v, b in zip(basis[:k], pairings))
+    return (*entered, *basis[k + 1 :])
+
+
 _PUBLIC_FIELDS = ("family", "rank", "cartan", "simple_roots", "positive_roots", "highest_root")
 
 
@@ -252,10 +282,11 @@ class RootSystem:
     canonical order, ``_up_masks[g]`` is the bitmask (over canonical indices)
     of roots of the form ``positive_roots[g] + alpha_j``, and ``_sum_masks[g]``
     the bitmask of roots h with ``positive_roots[g] + positive_roots[h]`` again
-    a root, and ``_kernels[missing]`` the ``linalg.kernel_basis`` of the Cartan
-    rows of the simple roots in the mask ``missing``.  Both are ``_Lazy``
-    tables, each entry built on its first read, so a query pays only for the
-    rows of the roots it holds and a classification for the kernels it meets.
+    a root, and ``_kernels[missing]`` the kernel of the Cartan rows of the
+    simple roots in the mask ``missing``, one ``_cut`` of the entry without the
+    highest bit.  Both are ``_Lazy`` tables, each entry built on its first
+    read, so a query pays only for the rows of the roots it holds and a
+    classification for the kernels it meets.
     ``_keys[g]`` packs ``positive_roots[g]`` into ``_KEY_BITS``-bit fields, so
     adding keys adds roots; ``sum_index`` looks sums up in ``_key_index``.  A
     key made from an outside tuple could alias a root: input uses ``_position``.
@@ -300,9 +331,18 @@ class RootSystem:
             return sum(1 << h for h, other in enumerate(keys) if k + other in key_index)
 
         def kernel(missing: int) -> tuple[tuple[int, ...], ...]:
-            from .linalg import kernel_basis
+            # down by the highest bits to a kept kernel or to the identity basis, then one cut per link
+            tops = []
+            while missing and missing not in kernels:
+                tops.append(1 << missing.bit_length() - 1)
+                missing ^= tops[-1]
+            basis = kernels.get(missing, positive[:rank])  # the simple roots are the unit vectors
+            for top in reversed(tops):
+                missing |= top
+                basis = kernels[missing] = _cut(basis, cm[top.bit_length() - 1])
+            return basis
 
-            return kernel_basis([cm[i] for i in mask_indices(missing)], rank)
+        kernels = _Lazy(kernel)
 
         self.__dict__.update(
             family=family,
@@ -314,7 +354,7 @@ class RootSystem:
             _position={r: g for g, r in enumerate(positive)},
             _up_masks=tuple(up_masks),
             _sum_masks=_Lazy(sum_row),
-            _kernels=_Lazy(kernel),
+            _kernels=kernels,
             _keys=keys,
             _key_index=key_index,
         )

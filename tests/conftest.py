@@ -13,7 +13,7 @@ def pytest_configure(config):
     """
     try:
         from hypothesis.configuration import set_hypothesis_home_dir
-    except ImportError:  # only the property tests and tests/test_linalg.py need hypothesis
+    except ImportError:  # only the property tests and the row-cut tests of tests/test_linalg.py need hypothesis
         return
     home = tempfile.mkdtemp(prefix="hypothesis-")
     config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))

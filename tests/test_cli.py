@@ -127,10 +127,14 @@ def test_capacity_check_runs_in_constant_memory(capsys):
 def test_capacity_caps_admit_a12_ideals_and_a80_roots():
     cli._check_capacity("ideals", "A", 12)  # 742899 nonzero ideals
     cli._check_capacity("roots", "A", 80)  # 3240 positive roots
+    cli._check_capacity("roots", "B", 64)  # exactly the cap of 4096 positive roots
+    cli._check_capacity("roots", "C", 64)
     with pytest.raises(CapacityError):
         cli._check_capacity("lattice", "A", 13)
     with pytest.raises(CapacityError):
         cli._check_capacity("check", "A", 91)
+    with pytest.raises(CapacityError):
+        cli._check_capacity("normalizer", "B", 65)  # 4225 positive roots
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,6 @@
+import json
+import subprocess
+import sys
 from collections import defaultdict
 from math import gcd
 
@@ -24,7 +27,7 @@ from borelideals import (
     is_monomial_ideal,
     one_dimensional_ideals,
 )
-from borelideals import ideals as ideals_module
+from borelideals import ideals as ideals_module, roots
 from borelideals.cli import run
 from borelideals.ideals import (
     _classification,
@@ -32,10 +35,9 @@ from borelideals.ideals import (
     _ideal_from_mask,
     nonzero_ideal_count,
 )
-from borelideals.linalg import kernel_basis
-from borelideals.roots import positive_root_count
+from borelideals.roots import cartan_matrix, positive_root_count
 from conftest import system
-from reference import exponents
+from reference import assert_reduced_kernel, exponents
 
 # systems small enough for the exhaustive subset oracle
 ORACLE_SYSTEMS = [
@@ -387,7 +389,7 @@ def test_cartan_kernel_annihilates_complement_exactly(family, rank):
     [("A", 9), ("B", 7), ("C", 7), ("D", 8), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
 )
 def test_kernels_satisfy_their_defining_equations(family, rank):
-    # Checked in integers, without ``linalg``.  A Cartan matrix is invertible,
+    # Checked in integers, without ``rref``.  A Cartan matrix is invertible,
     # so the rows of the missing set M are independent and the kernel has
     # dimension rank - |M|; vectors in echelon form are independent, so
     # rank - |M| of them annihilated by those rows span it.
@@ -455,7 +457,7 @@ def test_classification_matches_per_ideal_kernels(family, rank):
             for r in rs.positive_roots
             if r not in members
         ]
-        assert entry.kernel.vectors == kernel_basis(rows, rs.rank)
+        assert_reduced_kernel(rows, rs.rank, entry.kernel.vectors)
         assert entry.kernel == cartan_kernel(entry.ideal, rs)
         assert entry.mixed == (
             entry.kernel_dimension > 0
@@ -463,43 +465,59 @@ def test_classification_matches_per_ideal_kernels(family, rank):
         )
 
 
+def counted_cuts(monkeypatch):
+    """The list that each later ``roots._cut`` call appends its row to."""
+    cuts, cut = [], roots._cut
+    monkeypatch.setattr(roots, "_cut", lambda basis, row: cuts.append(row) or cut(basis, row))
+    return cuts
+
+
 def test_cartan_kernel_reduces_once_per_missing_set(monkeypatch):
-    # a kernel depends only on the simple roots an ideal misses, so a system
-    # reduces at most 2^rank of them, however many ideals ask
-    from borelideals import linalg
-
-    calls = []
-
-    def counted(rows, width):
-        calls.append(len(rows))
-        return kernel_basis(rows, width)
-
-    monkeypatch.setattr(linalg, "kernel_basis", counted)
+    # a kernel depends only on the simple roots an ideal misses, and each is
+    # one cut of another, so a system cuts at most 2^rank - 1 times, however
+    # many ideals ask
+    cuts = counted_cuts(monkeypatch)
     rs = RootSystem("E", 6)
     for ideal in [ZERO_IDEAL, *enumerate_nilradical_ideals(rs)]:
         cartan_kernel(ideal, rs)
-    assert len(calls) <= 1 << rs.rank
-    reduced = len(calls)
+    assert 0 < len(cuts) <= (1 << rs.rank) - 1
+    reduced = len(cuts)
     full_ideal_classification(rs)
-    assert len(calls) == reduced  # the classification reads the same kernels
+    assert len(cuts) == reduced  # the classification reads the same kernels
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_classify_command_reduces_once_per_missing_set(monkeypatch, capsys, fmt):
     # the command renders each missing set's suffix once, and drops its kernel
-    # then, so each of the 2^6 kernels of A6 is made once for its 429 ideals
-    from borelideals import linalg
-
-    calls = []
-
-    def counted(rows, width):
-        calls.append(len(rows))
-        return kernel_basis(rows, width)
-
-    monkeypatch.setattr(linalg, "kernel_basis", counted)
+    # then; a set first shows after every set that holds it, so no kernel is
+    # dropped before a cut reads it, and each of the 2^6 kernels of A6 is made
+    # once for its 429 ideals, all but the identity by one cut
+    cuts = counted_cuts(monkeypatch)
     assert run(["classify", "A", "6", "--format", fmt]) == 0
     assert capsys.readouterr().out
-    assert 0 < len(calls) <= 1 << 6
+    assert len(cuts) == (1 << 6) - 1
+
+
+# Prints the kernels of A120's zero ideal, which misses all 120 simple roots,
+# and of its ideal of the roots over any of a1..a60, which misses a61..a120,
+# read with a recursion limit no deeper than their chains of 120 and 60 cuts.
+DEEP_KERNELS = """
+import json, sys
+from borelideals import MonomialIdeal, RootSystem, ZERO_IDEAL, cartan_kernel
+rs = RootSystem("A", 120)
+over = MonomialIdeal(tuple(r for r in rs.positive_roots if any(r[:60])))
+sys.setrecursionlimit(60)
+print(json.dumps([cartan_kernel(ZERO_IDEAL, rs).vectors, cartan_kernel(over, rs).vectors]))
+"""
+
+
+def test_cartan_kernel_makes_a_long_chain_of_cuts_without_recursion():
+    proc = subprocess.run([sys.executable, "-c", DEEP_KERNELS], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    zero, over = json.loads(proc.stdout)
+    assert zero == []
+    cartan = cartan_matrix("A", 120)
+    assert_reduced_kernel(cartan[60:], 120, [tuple(v) for v in over])
 
 
 @pytest.mark.parametrize(

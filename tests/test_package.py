@@ -143,6 +143,6 @@ def test_listings_other_than_classify_load_no_linear_algebra(argv):
     assert loaded(*argv) == {"cli", "errors", "roots", "ideals"} | ({"lattice"} if lattice else set())
 
 
-def test_classify_loads_linear_algebra():
-    # the kernels are made in integers alone, so neither fractions nor decimal loads
-    assert loaded("classify", "A", "3") == {"cli", "errors", "roots", "ideals", "linalg"}
+def test_classify_loads_what_the_listings_load():
+    # the kernels are row cuts in ``roots``, made in integers alone, so neither fractions nor decimal loads
+    assert loaded("classify", "A", "3") == {"cli", "errors", "roots", "ideals"}
