@@ -23,9 +23,8 @@ function returns them.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from itertools import groupby, islice
-from typing import Collection, Iterable, Iterator, NamedTuple
+from itertools import chain, groupby, islice
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CapacityError, InvalidInputError
 from .roots import (
@@ -102,10 +101,10 @@ class _Counts:
         self.abelian_masks = frozenset(m for layer in _enumerate_masks(rs, abelian=True) for m in layer)
         self.histogram: dict[int, int] = {}
 
-    def walk(self, layers: Iterable[Collection[int]]) -> Iterator[tuple[int, bool]]:
+    def walk(self, layers: Iterable[list[int]]) -> Iterator[tuple[int, bool]]:
         """Each mask of the layers with its abelian flag, the size of each nonzero layer recorded."""
         for layer in layers:
-            if dimension := next(iter(layer)).bit_count():
+            if dimension := layer[0].bit_count():
                 self.histogram[dimension] = len(layer)
             yield from zip(layer, map(self.abelian_masks.__contains__, layer))
 
@@ -182,50 +181,56 @@ def enumerate_nilradical_ideals(rs: RootSystem) -> frozenset[MonomialIdeal]:
     return frozenset(_ideal_from_mask(m, rs) for layer in nonzero for m in layer)
 
 
-def _enumerate_masks(rs: RootSystem, abelian: bool = False) -> Iterator[dict[int, int]]:
-    """Ideal masks one dimension at a time from zero up, each layer in ``ideal_sort_key`` order.
+def _enumerate_masks(rs: RootSystem, abelian: bool = False) -> Iterator[list[int]]:
+    """Ideal masks one dimension at a time from zero up, each layer in ``ideal_sort_key`` order (see ``_search``)."""
+    return (masks for masks, _ in _search(rs, abelian))
 
-    A layer maps each mask to the roots that may join it (those outside it
-    with every simple step up inside it): adding g keeps the others and can
-    only admit roots one simple step below g.
+
+def _search(rs: RootSystem, abelian: bool = False) -> Iterator[tuple[list[int], list[int]]]:
+    """Each layer of ideal masks from zero up, as two parallel lists: the masks and their addables.
+
+    A mask's addable holds the roots that may join it (those outside it with
+    every simple step up inside it): adding g keeps the others and can only
+    admit roots one simple step below g.
 
     Each nonzero ideal J is made once, from its canonical parent: J without
     its lowest bit, a root of least height in J and so a minimal one.  So a
     mask grows only by roots below its lowest bit, and J = I + g has the index
-    tuple (g, *I): the children grouped by g in ascending order, each group in
-    its parents' order, come out sorted.
+    tuple (g, *I): the children, one list per g in ascending order, each list
+    in its parents' order, come out sorted with no mask made twice.
 
-    The search walks each ``addable`` by its lowest set bit, and a step table
-    maps the bit of g to (bit of h, ``_up_masks[h]``) for each h one step below
-    g, read off ``_up_masks``: the h with bit g set in ``_up_masks[h]``.
+    The search walks each ``addable`` by its lowest set bit; a step table maps
+    g to (bit of h, ``_up_masks[h]``) for each h with bit g in ``_up_masks[h]``.
 
     With ``abelian`` it keeps abelian ideals alone: a parent is a subset of
     its child, so an abelian I + g has an abelian parent I, and is abelian
     exactly when ``_sum_masks[g]`` misses I + g.
     """
     up, sums = rs._up_masks, rs._sum_masks
-    below: dict[int, list[tuple[int, int]]] = {1 << g: [] for g in range(len(up))}
+    below: list[list[tuple[int, int]]] = [[] for _ in up]
     for h, above in enumerate(up):
         for g in mask_indices(above):
-            below[1 << g].append((1 << h, above))
-    layer = {0: 1 << len(up) - 1}  # the zero ideal admits the highest root alone, the unique tallest: the last
-    while layer:
-        yield layer
-        groups: defaultdict[int, dict[int, int]] = defaultdict(dict)
-        for mask, addable in layer.items():
+            below[g].append((1 << h, above))
+    masks, addables = [0], [1 << len(up) - 1]  # the zero ideal admits the highest root alone, the unique tallest: the last
+    while masks:
+        yield masks, addables
+        grown, admits = [[] for _ in up], [[] for _ in up]  # per g: the children that add g, their addables
+        for mask, addable in zip(masks, addables):
             rest = addable & ((mask & -mask) - 1)  # all of addable for the zero mask
             while rest:
                 bit = rest & -rest
                 rest ^= bit
                 bigger = mask | bit
-                if abelian and sums[bit.bit_length() - 1] & bigger:
+                g = bit.bit_length() - 1
+                if abelian and sums[g] & bigger:
                     continue
                 admitted = addable ^ bit
-                for h, above in below[bit]:
+                for h, above in below[g]:
                     if above & bigger == above:
                         admitted |= h
-                groups[bit][bigger] = admitted
-        layer = {m: a for bit in sorted(groups) for m, a in groups[bit].items()}
+                grown[g].append(bigger)
+                admits[g].append(admitted)
+        masks, addables = list(chain.from_iterable(grown)), list(chain.from_iterable(admits))
 
 
 # Largest system the subset oracle accepts: 2^20 subsets.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from itertools import count, pairwise
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InvalidInputError
@@ -15,6 +16,7 @@ from .ideals import (
     _enumerate_masks,
     _ideal_from_mask,
     _ideal_mask,
+    _search,
     ideal_ascii,
     nonzero_ideal_count,
 )
@@ -55,20 +57,20 @@ def build_lattice(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> IdealLatti
 def _cover_edges(rs: RootSystem) -> Iterator[tuple[int, int]]:
     """The (smaller-index, larger-index) covers, numbered as the search lists the ideals.
 
-    Each cover I < I + g is a step of the search, g a root that may join I.
-    I + g precedes I + h in a layer when g < h (g is the lowest bit in which
-    they differ), so the covers come out sorted.
+    Each cover I < I + g is a step of the search, g a root that may join I;
+    a layer is two parallel lists, the masks and their addables.  I + g
+    precedes I + h in a layer when g < h (g is the lowest bit in which they
+    differ), so the covers come out sorted.
     """
-    layers = _enumerate_masks(rs)
-    layer, start = next(layers), 0
-    for above in layers:
-        index = {mask: i for i, mask in enumerate(above, start + len(layer))}
-        for i, (mask, addable) in enumerate(layer.items(), start):
+    start = 0
+    for (masks, addables), (above, _) in pairwise(_search(rs)):
+        index = {mask: i for i, mask in enumerate(above, start + len(masks))}
+        for i, mask, addable in zip(count(start), masks, addables):
             while addable:
                 bit = addable & -addable
                 addable ^= bit
                 yield i, index[mask | bit]
-        layer, start = above, start + len(layer)
+        start += len(masks)
 
 
 def counts_by_dimension(ideals: Iterable[MonomialIdeal], rs: RootSystem) -> DimensionCounts:

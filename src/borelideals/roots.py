@@ -280,13 +280,13 @@ class RootSystem:
     ``simple_roots`` are the unit vectors in index order.  The private fields
     are derived lookup structures: ``_position`` maps a root to its index in
     canonical order, ``_up_masks[g]`` is the bitmask (over canonical indices)
-    of roots of the form ``positive_roots[g] + alpha_j``, and ``_sum_masks[g]``
+    of roots of the form ``positive_roots[g] + alpha_j``.  ``_sum_masks[g]`` is
     the bitmask of roots h with ``positive_roots[g] + positive_roots[h]`` again
-    a root, and ``_kernels[missing]`` the kernel of the Cartan rows of the
+    a root; ``_kernels[missing]`` is the kernel of the Cartan rows of the
     simple roots in the mask ``missing``, one ``_cut`` of the entry without the
-    highest bit.  Both are ``_Lazy`` tables, each entry built on its first
-    read, so a query pays only for the rows of the roots it holds and a
-    classification for the kernels it meets.
+    highest bit.  ``_sum_masks`` and ``_kernels`` are ``_Lazy`` tables, each
+    entry built on its first read, so a query pays only for the rows of the
+    roots it holds and a classification for the kernels it meets.
     ``_keys[g]`` packs ``positive_roots[g]`` into ``_KEY_BITS``-bit fields, so
     adding keys adds roots; ``sum_index`` looks sums up in ``_key_index``.  A
     key made from an outside tuple could alias a root: input uses ``_position``.

@@ -1,7 +1,7 @@
 import json
 import subprocess
 import sys
-from collections import defaultdict
+from itertools import chain, pairwise
 from math import gcd
 
 import pytest
@@ -30,9 +30,12 @@ from borelideals import (
 from borelideals import ideals as ideals_module, roots
 from borelideals.cli import run
 from borelideals.ideals import (
+    _brute_force_masks,
     _classification,
     _enumerate_masks,
     _ideal_from_mask,
+    _is_abelian_mask,
+    _search,
     nonzero_ideal_count,
 )
 from borelideals.roots import cartan_matrix, positive_root_count
@@ -125,46 +128,43 @@ def test_extension_candidates_values():
     "family,rank", [("A", 6), ("B", 4), ("C", 4), ("D", 5), ("E", 6), ("F", 4), ("G", 2)]
 )
 def test_search_addable_roots_are_the_extension_candidates(family, rank):
-    # each layer maps an ideal to the roots its step table admits; they must
-    # be exactly the public extension candidates
+    # each layer lists an addable beside each ideal, the roots its step table
+    # admits; they must be exactly the public extension candidates
     rs = system(family, rank)
     seen = 0
-    for layer in _enumerate_masks(rs):
-        for mask, addable in layer.items():
+    for masks, addables in _search(rs):
+        for mask, addable in zip(masks, addables, strict=True):
             assert addable == rs.mask_of(extension_candidates(_ideal_from_mask(mask, rs), rs))
-        seen += len(layer)
+        seen += len(masks)
     assert seen == nonzero_ideal_count(family, rank) + 1
 
 
 @pytest.mark.parametrize("family,rank", [("G", 2), ("F", 4), ("E", 8), ("A", 11)])
 def test_each_ideal_is_made_once_from_its_canonical_parent(family, rank):
     # an ideal grows only by the roots below its lowest bit: those steps make
-    # the next layer with no ideal made twice and none missed
+    # the next layer with no ideal made twice and none missed; a search that
+    # grew a mask by all of its addable would repeat a mask in its layer.
+    # Each layer is checked as it comes, before the search makes the next.
     rs = system(family, rank)
-    layers = list(_enumerate_masks(rs))
-    for layer, above in zip(layers, [*layers[1:], {}]):
-        steps = sum((addable & ((mask & -mask) - 1)).bit_count() for mask, addable in layer.items())
-        assert steps == len(above)
-    assert sum(map(len, layers)) == nonzero_ideal_count(family, rank) + 1
-
-
-@pytest.mark.parametrize("family,rank", [("G", 2), ("F", 4), ("E", 8), ("A", 9)])
-def test_search_stores_each_child_once(family, rank, monkeypatch):
-    # every child the search makes goes into a per-bit group; a search that
-    # grew a mask by all of ``addable`` would store some of them twice, which
-    # the groups absorb without changing a layer
     made = 0
+    for (masks, addables), (above, _) in pairwise(chain(_search(rs), [([], [])])):
+        steps = sum((addable & ((mask & -mask) - 1)).bit_count() for mask, addable in zip(masks, addables))
+        assert steps == len(above)
+        assert len(set(above)) == len(above)
+        made += len(masks)
+    assert made == nonzero_ideal_count(family, rank) + 1
 
-    class Counted(dict):
-        def __setitem__(self, mask, addable):
-            nonlocal made
-            made += 1
-            super().__setitem__(mask, addable)
 
-    monkeypatch.setattr(ideals_module, "defaultdict", lambda factory: defaultdict(Counted))
-    for _ in _enumerate_masks(system(family, rank)):
-        pass
-    assert made == nonzero_ideal_count(family, rank)
+@pytest.mark.parametrize("family,rank", ORACLE_SYSTEMS + [("D", 5)])
+def test_search_layers_are_the_oracle_layers(family, rank):
+    # the search and the subset oracle meet in one shape, a list of masks
+    # per dimension; pruned to abelian children the search keeps the oracle's
+    # abelian masks, layer by layer, with the empty layers dropped
+    rs = system(family, rank)
+    oracle = _brute_force_masks(rs)
+    assert list(_enumerate_masks(rs)) == oracle
+    abelian = [[m for m in layer if _is_abelian_mask(m, rs)] for layer in oracle]
+    assert list(_enumerate_masks(rs, abelian=True)) == [layer for layer in abelian if layer]
 
 
 def test_extension_candidates_rejects_non_ideal():
