@@ -115,10 +115,6 @@ def parse_root_set(literal: str, rs: RootSystem) -> frozenset[Root]:
     return frozenset(_parse_term(term, rs) for term in terms)
 
 
-def _vectors(roots: Iterable[Root]) -> list[list[int]]:
-    return [list(r) for r in roots]
-
-
 def _json_document(rs: RootSystem, **members) -> str:
     """JSON text of a document: its ``family`` and ``rank``, then ``members`` in order."""
     return json.dumps({"family": rs.family, "rank": rs.rank, **members}, indent=2) + "\n"
@@ -144,7 +140,7 @@ def _entry_renderer(rs: RootSystem, depth: int) -> Callable[..., str]:
     then ``rest``: further members, each led by a comma and a new line.
     """
     pad = "\n" + " " * depth
-    blocks = [f"{pad}    {_json_block(list(r), depth + 4)}" for r in rs.positive_roots]
+    blocks = [f"{pad}    {_json_block(r, depth + 4)}" for r in rs.positive_roots]
     join = mask_joiner(blocks, ",", "[", f"{pad}  ]", "[]")
     head = f',{pad}{{{pad}  "roots": '
     dimensions = [f',{pad}  "dimension": {d}' for d in range(len(blocks) + 1)]
@@ -159,7 +155,7 @@ def _entry_renderer(rs: RootSystem, depth: int) -> Callable[..., str]:
 
 def _listing_document(rs: RootSystem, entries: Iterable[str], counts: _Counts, **members: str) -> Iterator[str]:
     """JSON of an ideal listing: the head and ``members``, the streamed ``ideals``, their ``counts``."""
-    head = _json_document(rs, positive_roots=_vectors(rs.positive_roots), **members)
+    head = _json_document(rs, positive_roots=rs.positive_roots, **members)
     yield head.removesuffix("\n}\n") + ',\n  "ideals": '
     yield from _json_list(entries, 2)
     # the entries have streamed past, so the counts are complete
@@ -183,10 +179,10 @@ def _cmd_roots(args, rs: RootSystem) -> Iterator[str]:
         yield _json_document(
             rs,
             dynkin_diagram=dynkin_description(rs),
-            cartan_matrix=_vectors(rs.cartan),
-            simple_roots=_vectors(rs.simple_roots),
-            positive_roots=_vectors(rs.positive_roots),
-            highest_root=list(rs.highest_root),
+            cartan_matrix=rs.cartan,
+            simple_roots=rs.simple_roots,
+            positive_roots=rs.positive_roots,
+            highest_root=rs.highest_root,
             counts={"positive_roots": len(rs.positive_roots)},
         )
         return
@@ -234,7 +230,7 @@ def _cmd_classify(args, rs: RootSystem) -> Iterator[str]:
         kernel, mixed = _classification(missing, rs)
         del rs._kernels[missing]  # the text holds the kernel from here on
         if args.format == "json":
-            basis = _json_block([list(v) for v in kernel.vectors], 6)
+            basis = _json_block(kernel.vectors, 6)
             return (
                 f',\n      "kernel_dimension": {kernel.dimension}'
                 f',\n      "kernel_basis": {basis},\n      "mixed": {json.dumps(mixed)}'
@@ -291,7 +287,7 @@ def _cmd_set_query(args, rs: RootSystem) -> Iterator[str]:
     mask = rs.mask_of(parse_root_set(args.set, rs))
     result = rs.full_mask & ~_closed(mask, rs)[args.command == "centralizer"]
     if args.format == "json":
-        yield _json_document(rs, set=_vectors(rs.roots_of(mask)), **{args.command: _vectors(rs.roots_of(result))})
+        yield _json_document(rs, set=rs.roots_of(mask), **{args.command: rs.roots_of(result)})
     else:
         yield _mask_renderer(rs, args.unicode)(result, "", "\n")
 
@@ -307,7 +303,7 @@ def _cmd_check(args, rs: RootSystem) -> Iterator[str]:
         "is_abelian_set": touched & mask == 0,
     }
     if args.format == "json":
-        yield _json_document(rs, set=_vectors(rs.roots_of(mask)), checks=checks)
+        yield _json_document(rs, set=rs.roots_of(mask), checks=checks)
         return
     yield _mask_renderer(rs, args.unicode)(mask, "set: ", "\n")
     yield f"monomial ideal: {'yes' if checks['is_monomial_ideal'] else 'no'}\n"

@@ -214,10 +214,26 @@ HELD = re.compile(rb"\[(X\[a\d+\](?:, X\[a\d+\])*)[,\]]")  # a classify line's l
 SUFFIX = re.compile(r"kernel dim (\d+) \| kernel basis: (-|(?:[+-]?\d*H\[a\d+\]|; )+)( \| mixed)?")
 TERM = re.compile(r"([+-]?)(\d*)H\[a(\d+)\]")
 UNIT = rb"\[(?:\s*0,)*\s*1(?:,\s*0)*\s*\]"  # a JSON vector of zeros and one 1: a simple root
-ENTRY = re.compile(  # a classify JSON entry: its leading simple roots, then its kernel members
-    rb'"roots": \[((?:\s*%s,?)*)[^"]*"dimension": \d+,\s*"abelian": (?:true|false),\s*'
-    rb'"kernel_dimension": (\d+),\s*"kernel_basis": ([^"]*),\s*"mixed": (true|false)' % UNIT
-)
+LEADING = re.compile(rb'"roots": \[((?:\s*%s,?)*)' % UNIT)  # a classify JSON entry's leading simple roots
+KERNEL = re.compile(rb'"kernel_dimension": (\d+),\s*"kernel_basis": ([^"]*),\s*"mixed": (true|false)')
+
+
+def json_entries(piece):
+    """The (leading simple roots, *kernel members) of each classify JSON entry in ``piece``.
+
+    The rest of an entry's roots are passed over by ``find``, not by a regex.
+    An entry whose kernel members do not parse is left out, and the next
+    ``"roots"`` is sought after them, so an entry that lacks them takes the
+    next one's and that one is left out.
+    """
+    at = piece.find(b'"roots"')
+    while at >= 0:
+        leading = LEADING.match(piece, at)
+        found = piece.find(b'"kernel_dimension"', leading.end())
+        kernel = KERNEL.match(piece, found) if found >= 0 else None
+        if kernel:
+            yield (leading[1], *kernel.groups())
+        at = piece.find(b'"roots"', kernel.end() if kernel else leading.end())
 
 
 def text_kernel(suffix, rank):
@@ -282,7 +298,7 @@ def kernels_ok(argv, blocks):
                     held = HELD.match(roots)
                     spelled[held[1] if held else b"", suffix] += 1
         else:
-            spelled.update(ENTRY.findall(piece))
+            spelled.update(json_entries(piece))
     pairs = Counter()  # (M, suffix)
     for (simple, *suffix), n in spelled.items():
         if text:

@@ -67,6 +67,7 @@ def test_each_check_accepts_its_stream(command, size, capsys):
         ("classify B 4", rb" \| mixed", b""),
         ("classify B 4 --format json", rb'"mixed": true', b'"mixed": false'),
         ("classify B 4 --format json", rb'(?<="kernel_basis": \[\n        \[\n          )\d', b"3"),  # one basis entry
+        ("classify B 4 --format json", rb',\s*"kernel_dimension": \d+', b""),  # one entry's kernel dimension dropped
         ("lattice A 5", rb"\n\d+ -> \d+\n", b"\n"),  # one cover line dropped
         ("lattice C 4 --format dot", rb"\n  n\d+ -> n\d+;\n", b"\n"),
         ("lattice A 5 --format json", rb"\[\s*\d+,\s*\d+\s*\],\s*", b""),  # one edge dropped
@@ -115,7 +116,7 @@ print(sorted(name for name in sys.modules if name.startswith("borelideals")))
 """
 
 
-@pytest.mark.parametrize("module", ["reference", "caps"])
+@pytest.mark.parametrize("module", ["reference", "caps", "faults"])
 def test_imports_without_the_program_or_the_test_tools(module):
     # the program is importable, so a module that reached for it would load it
     tests = Path(__file__).parent
